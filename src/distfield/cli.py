@@ -24,7 +24,7 @@ from .counterexamples import (
     spiral_negative_control,
     spiral_ratio_sequence,
 )
-from .errors import DistanceFieldError
+from .errors import DistanceFieldError, PreconditionViolated
 from .fmm import GridField, GridSpec, extract_level_set, grid_error, grid_to_csv, solve_fmm, verify_level_distance
 from .projection import gradient, is_medial, nearest_points, signed_distance_many
 from .regularity import (
@@ -178,12 +178,14 @@ def _interior_point(shape: Shape, rng) -> np.ndarray:
 
 
 def _verify_eikonal(shape, args, rng) -> dict:
+    if args.n < 1:
+        raise PreconditionViolated("--n must be at least 1")
     lo, hi = _default_box(shape)
     h = 1e-5
     checked = 0
     max_norm_err = 0.0
     max_fd_err = 0.0
-    while checked < args.n:
+    for _ in range(200 * args.n):
         p = rng.uniform(lo, hi)
         res = nearest_points(shape, p, 1e-3)
         if res.multiplicity != 1 or res.distance <= 1e-2:
@@ -201,6 +203,11 @@ def _verify_eikonal(shape, args, rng) -> dict:
             sd = signed_distance_many(shape, probe)
             fd[d] = (sd[0] - sd[1]) / (2 * h)
         max_fd_err = max(max_fd_err, float(np.max(np.abs(fd - g))))
+        if checked == args.n:
+            break
+    if checked < args.n:
+        raise PreconditionViolated(f"only {checked} of {args.n} samples were off the medial "
+                                   "axis and 1e-2 from the boundary")
     return {
         "n_checked": checked,
         "max_gradient_norm_error": max_norm_err,
@@ -401,7 +408,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DistanceFieldError, FileNotFoundError, KeyError, json.JSONDecodeError) as exc:
+    except (DistanceFieldError, FileNotFoundError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -414,25 +414,24 @@ def grid_to_csv(field: GridField) -> str:
 
 def grid_from_csv(text: str) -> GridField:
     lines = [ln for ln in text.strip().splitlines() if ln]
+    if len(lines) < 4 or lines[3] != "values":
+        raise InvalidSpec("grid CSV needs dims, origin and h lines, then 'values'")
     dims = tuple(int(v) for v in lines[0].split(",")[1:])
     origin = [float(v) for v in lines[1].split(",")[1:]]
     h = float(lines[2].split(",")[1])
-    assert lines[3] == "values"
-    n = int(np.prod(dims))
-    row = dims[-1]
-    n_rows = n // row
+    spec = GridSpec(origin, h, dims)
+    n_rows = spec.n_nodes // spec.dims[-1]
+    if len(lines) != 5 + 2 * n_rows or lines[4 + n_rows] != "frozen":
+        raise InvalidSpec(f"grid CSV needs {n_rows} values rows, then 'frozen' and {n_rows} rows")
     vals = []
     for ln in lines[4 : 4 + n_rows]:
         vals.extend(float(v) for v in ln.split(","))
-    assert lines[4 + n_rows] == "frozen"
     fz = []
-    for ln in lines[5 + n_rows : 5 + 2 * n_rows]:
+    for ln in lines[5 + n_rows :]:
         fz.extend(int(v) for v in ln.split(","))
-    return GridField(
-        spec=GridSpec(origin, h, dims),
-        values=np.asarray(vals),
-        frozen=np.asarray(fz, dtype=bool),
-    )
+    if len(vals) != spec.n_nodes or len(fz) != spec.n_nodes:
+        raise InvalidSpec(f"grid CSV needs {spec.dims[-1]} entries per row")
+    return GridField(spec=spec, values=np.asarray(vals), frozen=np.asarray(fz, dtype=bool))
 
 
 def grid_to_json(field: GridField) -> str:

@@ -14,22 +14,28 @@ classes defined here.  Supported domains:
 
 Boundary points classify as outside: all domains follow the open-set
 convention, so ``contains`` is exact membership of the open domain.
+
+Projection onto the boundary is closed-form for the ball, the half-space and
+the polygon.  The curved planar shapes describe their boundary once, as
+parametric pieces with per-query parameter windows (see ``Shape``), and share
+the scan + Newton engine of ``_minimize``:
+
+* disk rim (2-d) and ellipse -- one closed piece, window [0, 2 pi);
+* cusp -- two open branches (t^(1+alpha), +t) and (t^(1+alpha), -t), window
+  [0, t_cap(x)] with t_cap bounding |x2| plus an upper bound on the distance;
+* spiral -- two open walls f(t) (cos t, sin t) and f(t + pi) (cos t, sin t),
+  three windows of width 2 pi around the windings nearest the query; the two
+  end caps are segments with closed-form feet.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._minimize import (
-    SCAN_SAMPLES,
-    golden_section,
-    golden_section_vec,
-    local_minima_indices,
-    stationary_polish,
-)
+from ._minimize import SCAN_SAMPLES, candidates, project
 from .errors import (
     DimensionMismatch,
     InvalidSpec,
@@ -57,9 +63,12 @@ def as_point(x, dim: int) -> np.ndarray:
 
 
 def as_points(pts, dim: int) -> np.ndarray:
+    """Validate and convert query points to a float array of shape (n, dim)."""
     p = np.asarray(pts, dtype=float)
     if p.ndim != 2 or p.shape[1] != dim:
         raise DimensionMismatch(f"expected points of shape (n, {dim}), got {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise InvalidSpec("point coordinates must be finite")
     return p
 
 
@@ -79,17 +88,33 @@ class Candidates:
 
 
 class Shape:
-    """Common interface; concrete shapes override everything that matters."""
+    """Common interface of the domains.
+
+    Every shape implements ``contains``/``contains_many``, the boundary
+    sampling, ``inner_normal`` and ``boundary_window``.  A shape with a
+    closed-form projection overrides ``projection_candidates`` and
+    ``project_many``.  A curved planar shape instead describes its boundary
+    once and inherits both from the parametric engine:
+
+    * ``_curve(piece, t)`` returns ``(x, y, x', y', x'', y'')`` of the pieces
+      ``piece`` (an integer array broadcasting against ``t``) at ``t``, and
+      only ``(x, y)`` with ``derivs=False``;
+    * ``_windows(pts)`` returns ``(pieces, lo, hi)``: one parameter window
+      per entry of ``pieces``, with bounds broadcastable to
+      ``(len(pts), len(pieces))``, that together hold every nearest point of
+      each query; a window with ``hi <= lo`` is empty;
+    * ``_closed`` says whether the pieces are closed curves, scanned
+      periodically, or open arcs whose window ends are candidates too;
+    * ``_scan`` is the number of scan samples per window.
+    """
 
     dim: int = 2
+    _closed = False
+    _scan = SCAN_SAMPLES
 
     # -- membership ---------------------------------------------------------
     def contains(self, x) -> bool:
         raise NotImplementedError
-
-    def contains_many(self, pts) -> np.ndarray:
-        pts = as_points(pts, self.dim)
-        return np.array([self.contains(p) for p in pts], dtype=bool)
 
     # -- boundary -----------------------------------------------------------
     def boundary_sample(self, spacing: float) -> np.ndarray:
@@ -111,19 +136,15 @@ class Shape:
 
     # -- projection support ---------------------------------------------------
     def projection_candidates(self, x, tol: float) -> Candidates:
-        raise NotImplementedError
+        """Refined local minimizers and flat-stretch representatives of one query."""
+        return Candidates(*candidates(self, as_point(x, self.dim)))
 
     def project_many(self, pts) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized global nearest point: (distances (n,), points (n, m))."""
-        pts = as_points(pts, self.dim)
-        d = np.empty(len(pts))
-        proj = np.empty_like(pts)
-        for i, p in enumerate(pts):
-            cand = self.projection_candidates(p, 1e-12)
-            j = int(np.argmin(cand.dists))
-            d[i] = cand.dists[j]
-            proj[i] = cand.points[j]
-        return d, proj
+        return project(self, as_points(pts, self.dim))
+
+    def _points(self, piece, t) -> np.ndarray:
+        return np.stack(self._curve(piece, t, derivs=False), axis=-1)
 
     # -- probe admissibility ---------------------------------------------------
     def probe_scale_ok(self, p, h: float) -> bool:
@@ -134,6 +155,10 @@ class Shape:
         d, _ = self.project_many(p[None, :])
         if d[0] > ON_BOUNDARY_TOL:
             raise NotOnBoundary(f"point {p.tolist()} is {d[0]:.3g} from the boundary")
+
+
+# The window of a closed piece parametrized over one full turn.
+_ONE_TURN = (np.zeros(1, dtype=int), 0.0, 2.0 * math.pi)
 
 
 def _spacing_count(length: float, spacing: float) -> int:
@@ -198,31 +223,27 @@ class Disk(Shape):
             raise NotOnBoundary(f"|p - c| = {s:.12g}, expected {self.radius:.12g}")
         return (self.center - p) / s
 
+    # The 2-d rim is a parametric piece, so that flat near-optimal stretches
+    # (center and near-center queries) get the same multiplicity semantics as
+    # the other curved shapes; project_many uses the closed form.
+    _closed = True
+
+    def _curve(self, piece, t, derivs=True):
+        c, s = np.cos(t), np.sin(t)
+        r = self.radius
+        x, y = self.center[0] + r * c, self.center[1] + r * s
+        return (x, y, -r * s, r * c, -r * c, -r * s) if derivs else (x, y)
+
+    def _windows(self, pts):
+        return _ONE_TURN
+
     def projection_candidates(self, x, tol: float) -> Candidates:
+        if self.dim == 2:
+            return super().projection_candidates(x, tol)
+        # 3-d ball: closed form, with an explicit continuum at the center.
         x = as_point(x, self.dim)
         v = x - self.center
         s = float(np.linalg.norm(v))
-        if self.dim == 2:
-            # Same scan machinery as the other parametric shapes so that flat
-            # near-optimal stretches (center and near-center queries) produce
-            # the same multiplicity semantics everywhere.
-            cx, cy = self.center
-            qx, qy = x
-            R = self.radius
-
-            def point_at(ts: np.ndarray) -> np.ndarray:
-                return self.center + R * np.stack([np.cos(ts), np.sin(ts)], axis=-1)
-
-            def dist_one(t: float) -> float:
-                return math.hypot(cx + R * math.cos(t) - qx, cy + R * math.sin(t) - qy)
-
-            def stat_one(t: float) -> float:
-                ct, st = math.cos(t), math.sin(t)
-                return (cx + R * ct - qx) * (-R * st) + (cy + R * st - qy) * (R * ct)
-
-            windows = [(point_at, dist_one, stat_one, 0.0, 2.0 * math.pi, True)]
-            return _candidates_from_windows(x, windows, tol)
-        # 3-d ball: closed form, with an explicit continuum at the center.
         if s <= 0.5 * tol:
             reps, _ = self.boundary_sample_with_normals(self.radius * 0.1)
             d = np.linalg.norm(reps - x, axis=1)
@@ -498,9 +519,16 @@ class Ellipse(Shape):
         q = (pts - self.center) / self.semi_axes
         return np.sum(q * q, axis=1) - 1.0
 
-    def _point_at(self, ts: np.ndarray) -> np.ndarray:
+    _closed = True
+
+    def _curve(self, piece, t, derivs=True):
+        c, s = np.cos(t), np.sin(t)
         a, b = self.semi_axes
-        return self.center + np.stack([a * np.cos(ts), b * np.sin(ts)], axis=-1)
+        x, y = self.center[0] + a * c, self.center[1] + b * s
+        return (x, y, -a * s, b * c, -a * c, -b * s) if derivs else (x, y)
+
+    def _windows(self, pts):
+        return _ONE_TURN
 
     def _normal_at(self, ts: np.ndarray) -> np.ndarray:
         a, b = self.semi_axes
@@ -517,39 +545,13 @@ class Ellipse(Shape):
         a = float(np.max(self.semi_axes))
         n = _spacing_count(2.0 * math.pi * a, spacing) - 1
         ts = 2.0 * math.pi * np.arange(n) / n
-        return self._point_at(ts), self._normal_at(ts)
+        return self._points(0, ts), self._normal_at(ts)
 
     def inner_normal(self, p) -> np.ndarray:
         p = as_point(p, 2)
         self._check_on_boundary(p)
         g = (p - self.center) / self.semi_axes**2
         return -g / np.linalg.norm(g)
-
-    def projection_candidates(self, x, tol: float) -> Candidates:
-        x = as_point(x, 2)
-        a, b = self.semi_axes
-        qx, qy = x - self.center
-
-        def dist_one(t: float) -> float:
-            return math.hypot(a * math.cos(t) - qx, b * math.sin(t) - qy)
-
-        def stat_one(t: float) -> float:
-            ct, st = math.cos(t), math.sin(t)
-            return (a * ct - qx) * (-a * st) + (b * st - qy) * (b * ct)
-
-        windows = [(self._point_at, dist_one, stat_one, 0.0, 2.0 * math.pi, True)]
-        return _candidates_from_windows(x, windows, tol)
-
-    def project_many(self, pts):
-        pts = as_points(pts, 2)
-        q = pts - self.center
-        ts = _vec_param_minimize(q, self._point_at_origin, 0.0, 2.0 * math.pi, True)
-        proj = self._point_at(ts)
-        return np.linalg.norm(pts - proj, axis=1), proj
-
-    def _point_at_origin(self, ts: np.ndarray) -> np.ndarray:
-        a, b = self.semi_axes
-        return np.stack([a * np.cos(ts), b * np.sin(ts)], axis=-1)
 
     def _locate(self, p) -> float:
         cand = self.projection_candidates(p, 1e-12)
@@ -563,15 +565,15 @@ class Ellipse(Shape):
         t0 = self._locate(p)
         w = r / float(np.max(self.semi_axes))
         while w < math.pi and (
-            np.linalg.norm(self._point_at(np.array([t0 - w]))[0] - p) <= r
-            or np.linalg.norm(self._point_at(np.array([t0 + w]))[0] - p) <= r
+            np.linalg.norm(self._points(0, t0 - w) - p) <= r
+            or np.linalg.norm(self._points(0, t0 + w) - p) <= r
         ):
             w *= 1.5
         ts = t0 + np.linspace(-w, w, 4 * n)
-        pts = self._point_at(ts)
+        pts = self._points(0, ts)
         keep = np.linalg.norm(pts - p, axis=1) <= r
         ts = ts[keep][:: max(1, int(np.sum(keep)) // n)]
-        return self._point_at(ts), self._normal_at(ts)
+        return self._points(0, ts), self._normal_at(ts)
 
 
 # ---------------------------------------------------------------------------
@@ -593,14 +595,22 @@ class Cusp(Shape):
         object.__setattr__(self, "extent", float(extent))
         object.__setattr__(self, "dim", 2)
 
-    def _branch(self, sign: float):
+    def _curve(self, piece, t, derivs=True):
+        # Branch 0 is (t^(1+a), t), branch 1 its mirror.  x'' blows up at the
+        # apex; there it is taken as 0, which keeps Newton steps finite.
+        sign = 1.0 - 2.0 * piece
+        p = t**self.alpha
+        if not derivs:
+            return t * p, sign * t
         ex = 1.0 + self.alpha
+        return t * p, sign * t, ex * p, sign, ex * self.alpha * p / np.maximum(t, 1e-300), 0.0
 
-        def fn(ts: np.ndarray) -> np.ndarray:
-            ts = np.maximum(ts, 0.0)
-            return np.stack([ts**ex, sign * ts], axis=-1)
-
-        return fn
+    def _windows(self, pts):
+        # Any minimizer (t^(1+a), +-t) satisfies |t - |x2|| <= d_ub, with d_ub an
+        # upper bound on the distance: the apex and the graph point at height x2.
+        x1, ax2 = pts[:, 0], np.abs(pts[:, 1])
+        d_ub = np.minimum(np.hypot(x1, ax2), np.abs(ax2 ** (1.0 + self.alpha) - x1))
+        return np.array([0, 1]), 0.0, (ax2 + d_ub + 1e-9)[:, None]
 
     def contains(self, x) -> bool:
         p = as_point(x, 2)
@@ -635,48 +645,6 @@ class Cusp(Shape):
         n = np.array([1.0, -slope])
         return n / np.linalg.norm(n)
 
-    def _t_cap(self, x: np.ndarray) -> float:
-        # Any minimizer (t^(1+a), +-t) satisfies |t - |x2|| <= d_ub, with d_ub an
-        # upper bound on the distance obtained from two candidate boundary points.
-        apex = float(np.linalg.norm(x))
-        graph = math.hypot(abs(x[1]) ** (1.0 + self.alpha) - x[0], 0.0)
-        d_ub = min(apex, graph)
-        return abs(x[1]) + d_ub + 1e-9
-
-    def projection_candidates(self, x, tol: float) -> Candidates:
-        x = as_point(x, 2)
-        t_cap = self._t_cap(x)
-        ex = 1.0 + self.alpha
-        qx, qy = x
-
-        windows = []
-        for sign in (+1.0, -1.0):
-            def dist_one(t: float, s=sign) -> float:
-                t = max(t, 0.0)
-                return math.hypot(t**ex - qx, s * t - qy)
-
-            def stat_one(t: float, s=sign) -> float:
-                t = max(t, 0.0)
-                return (t**ex - qx) * ex * t**self.alpha + (s * t - qy) * s
-
-            windows.append((self._branch(sign), dist_one, stat_one, 0.0, t_cap, False))
-        return _candidates_from_windows(x, windows, tol)
-
-    def project_many(self, pts):
-        pts = as_points(pts, 2)
-        caps = np.array([self._t_cap(p) for p in pts])
-        best_d = np.full(len(pts), np.inf)
-        best_p = np.zeros_like(pts)
-        for sign in (+1.0, -1.0):
-            fn = self._branch(sign)
-            ts = _vec_param_minimize(pts, fn, np.zeros(len(pts)), caps, False)
-            proj = fn(ts)
-            d = np.linalg.norm(pts - proj, axis=1)
-            take = d < best_d
-            best_d[take] = d[take]
-            best_p[take] = proj[take]
-        return best_d, best_p
-
     def boundary_window(self, p, r: float, n: int):
         p = as_point(p, 2)
         self._check_on_boundary(p)
@@ -684,11 +652,11 @@ class Cusp(Shape):
         lo = max(0.0, t0 - 2.0 * r)
         ts = np.linspace(lo, t0 + 2.0 * r, 4 * n)
         sign = math.copysign(1.0, p[1]) if p[1] != 0 else 1.0
-        branch = self._branch(sign)
-        pts = branch(ts)
+        piece = int(sign < 0)
+        pts = self._points(piece, ts)
         keep = np.linalg.norm(pts - p, axis=1) <= r
         ts = ts[keep][:: max(1, int(np.sum(keep)) // n)]
-        pts = branch(ts)
+        pts = self._points(piece, ts)
         ex = 1.0 + self.alpha
         slope = ex * ts**self.alpha * sign
         nrm = np.sqrt(1.0 + slope**2)
@@ -775,13 +743,46 @@ class Spiral(Shape):
                 f"query radius below truncation zone {self.reject_radius:.3g}"
             )
 
-    def _outer_point(self, thetas: np.ndarray) -> np.ndarray:
-        f = self.f(thetas)
-        return np.stack([f * np.cos(thetas), f * np.sin(thetas)], axis=-1)
+    _scan = 512
 
-    def _inner_point(self, thetas: np.ndarray) -> np.ndarray:
-        f = self.f(thetas + math.pi)
-        return np.stack([f * np.cos(thetas), f * np.sin(thetas)], axis=-1)
+    def _curve(self, piece, t, derivs=True):
+        # Piece 0 is the outer wall f(t) e(t), piece 1 the inner wall f(t + pi) e(t).
+        th = t + math.pi * piece
+        f = self.f(th)
+        c, s = np.cos(t), np.sin(t)
+        x, y = f * c, f * s
+        if not derivs:
+            return x, y
+        fp = self.f_prime(th)
+        fpp = fp * (-(self.beta + 1.0) / (1.0 + th) if self.wall == "power" else -self.beta)
+        return (x, y, fp * c - y, fp * s + x,
+                (fpp - f) * c - 2.0 * fp * s, (fpp - f) * s + 2.0 * fp * c)
+
+    def _windings(self, pts: np.ndarray):
+        """Radii (n,) and the three unwound angles (n, 3) nearest each query's winding."""
+        r = np.linalg.norm(pts, axis=1)
+        self._check_radius(r)
+        alpha = np.arctan2(pts[:, 1], pts[:, 0]) % _TWO_PI
+        target = np.clip(self.f_inv(np.maximum(r, 1e-300)), self.theta_min, self.theta_max)
+        k0 = np.round((target - alpha) / _TWO_PI)
+        return r, alpha[:, None] + _TWO_PI * (k0[:, None] + np.array([-1.0, 0.0, 1.0]))
+
+    def _windows(self, pts):
+        _, theta = self._windings(pts)
+        lo = np.maximum(self.theta_min, theta - math.pi)
+        hi = np.minimum(self.theta_end, theta + math.pi)
+        return np.array([0, 0, 0, 1, 1, 1]), np.tile(lo, 2), np.tile(hi, 2)
+
+    def _cap_feet(self, pts: np.ndarray):
+        """Distances (n, 2) and feet (n, 2, 2) of the queries on the two end caps."""
+        ds, feet = [], []
+        for which in (0, 1):
+            p0, p1 = self._cap_segment(which)
+            e = p1 - p0
+            t = np.clip((pts - p0) @ e / float(e @ e), 0.0, 1.0)
+            feet.append(p0 + t[:, None] * e)
+            ds.append(np.linalg.norm(pts - feet[-1], axis=1))
+        return np.stack(ds, axis=1), np.stack(feet, axis=1)
 
     def _cap_segment(self, which: int):
         if which == 0:
@@ -795,40 +796,15 @@ class Spiral(Shape):
         e = np.array([math.cos(ang), math.sin(ang)])
         return e * r0, e * r1
 
-    def _candidate_windings(self, x: np.ndarray):
-        r = float(np.linalg.norm(x))
-        alpha = math.atan2(x[1], x[0]) % _TWO_PI
-        target = float(np.clip(self.f_inv(max(r, 1e-300)), self.theta_min, self.theta_max))
-        k0 = round((target - alpha) / _TWO_PI)
-        return r, alpha, (k0 - 1, k0, k0 + 1)
-
     def contains(self, x) -> bool:
-        x = as_point(x, 2)
-        if x[0] == 0.0 and x[1] == 0.0:
-            return False
-        r, alpha, ks = self._candidate_windings(x)
-        self._check_radius(r)
-        for k in ks:
-            theta = alpha + _TWO_PI * k
-            if self.theta_min <= theta <= self.theta_end:
-                if float(self.f(theta + math.pi)) < r < float(self.f(theta)):
-                    return True
-        return False
+        return bool(self.contains_many(as_point(x, 2)[None, :])[0])
 
     def contains_many(self, pts) -> np.ndarray:
-        pts = as_points(pts, 2)
-        r = np.linalg.norm(pts, axis=1)
-        self._check_radius(r)
-        alpha = np.arctan2(pts[:, 1], pts[:, 0]) % _TWO_PI
-        target = np.clip(self.f_inv(np.maximum(r, 1e-300)), self.theta_min, self.theta_max)
-        k0 = np.round((target - alpha) / _TWO_PI)
-        inside = np.zeros(len(pts), dtype=bool)
-        for dk in (-1, 0, 1):
-            theta = alpha + _TWO_PI * (k0 + dk)
-            ok = (theta >= self.theta_min) & (theta <= self.theta_end)
-            th = np.where(ok, theta, self.theta_min)
-            inside |= ok & (self.f(th + math.pi) < r) & (r < self.f(th))
-        return inside
+        r, theta = self._windings(as_points(pts, 2))
+        r = r[:, None]
+        ok = (theta >= self.theta_min) & (theta <= self.theta_end)
+        th = np.where(ok, theta, self.theta_min)
+        return np.any(ok & (self.f(th + math.pi) < r) & (r < self.f(th)), axis=1)
 
     def boundary_sample_with_normals(self, spacing: float):
         pts, normals = [], []
@@ -845,7 +821,7 @@ class Spiral(Shape):
             ts = np.asarray(cur_t)
             if ts[-1] < self.theta_end:
                 ts = np.append(ts, self.theta_end)
-            pts.append(self._inner_point(ts) if inner else self._outer_point(ts))
+            pts.append(self._points(int(inner), ts))
             normals.append(self._wall_normals(ts, inner))
         for which in (0, 1):
             p0, p1 = self._cap_segment(which)
@@ -875,25 +851,24 @@ class Spiral(Shape):
         return np.stack([c0[0], c0[1], c1[0], c1[1]])
 
     def _locate(self, p: np.ndarray):
-        """(piece, theta) of the boundary point p; piece in {outer, inner, cap0, cap1}."""
-        r, alpha, ks = self._candidate_windings(p)
+        """(piece, theta) of the boundary point p; piece in {outer, inner, cap0, cap1}.
+
+        theta is the wall parameter, and 0 on the caps.
+        """
+        r, thetas = self._windings(p[None, :])
         best = (math.inf, None, 0.0)
-        for k in ks:
-            theta = alpha + _TWO_PI * k
+        for theta in thetas[0]:
             if self.theta_min <= theta <= self.theta_end:
-                d_out = abs(r - float(self.f(theta)))
-                d_in = abs(r - float(self.f(theta + math.pi)))
+                d_out = abs(r[0] - float(self.f(theta)))
+                d_in = abs(r[0] - float(self.f(theta + math.pi)))
                 if d_out < best[0]:
                     best = (d_out, "outer", theta)
                 if d_in < best[0]:
                     best = (d_in, "inner", theta)
+        cap_d, _ = self._cap_feet(p[None, :])
         for which, piece in ((0, "cap0"), (1, "cap1")):
-            p0, p1 = self._cap_segment(which)
-            e = p1 - p0
-            t = float(np.clip(np.dot(p - p0, e) / np.dot(e, e), 0.0, 1.0))
-            d = float(np.linalg.norm(p - (p0 + t * e)))
-            if d < best[0]:
-                best = (d, piece, t)
+            if cap_d[0, which] < best[0]:
+                best = (cap_d[0, which], piece, 0.0)
         if best[0] > ON_BOUNDARY_TOL:
             raise NotOnBoundary("point is not on the spiral boundary")
         return best[1], best[2]
@@ -909,89 +884,24 @@ class Spiral(Shape):
         e_t = np.array([-math.sin(ang), math.cos(ang)])
         return e_t if piece == "cap0" else -e_t
 
-    def _wall_windows(self, x: np.ndarray):
-        r, alpha, ks = self._candidate_windings(x)
-        self._check_radius(r)
-        windows = []
-        for k in ks:
-            theta_c = alpha + _TWO_PI * k
-            lo = max(self.theta_min, theta_c - math.pi)
-            hi = min(self.theta_end, theta_c + math.pi)
-            if hi <= lo:
-                continue
-            for inner in (False, True):
-                fn = self._inner_point if inner else self._outer_point
-                shift = math.pi if inner else 0.0
-                qx, qy = x
-
-                def dist_one(t: float, s=shift) -> float:
-                    fv = float(self.f(t + s))
-                    return math.hypot(fv * math.cos(t) - qx, fv * math.sin(t) - qy)
-
-                def stat_one(t: float, s=shift) -> float:
-                    fv = float(self.f(t + s))
-                    fp = float(self.f_prime(t + s))
-                    ct, st = math.cos(t), math.sin(t)
-                    px, py = fv * ct, fv * st
-                    tx = fp * ct - fv * st
-                    ty = fp * st + fv * ct
-                    return (px - qx) * tx + (py - qy) * ty
-
-                windows.append((fn, dist_one, stat_one, lo, hi, False))
-        return windows
-
     def projection_candidates(self, x, tol: float) -> Candidates:
         x = as_point(x, 2)
-        if x[0] == 0.0 and x[1] == 0.0:
+        if not x.any():
             return Candidates(np.array([0.0]), np.zeros((1, 2)))
-        windows = self._wall_windows(x)
-        cand = _candidates_from_windows(x, windows, tol, scan=512)
-        cap_d, cap_p = [], []
-        for which in (0, 1):
-            p0, p1 = self._cap_segment(which)
-            e = p1 - p0
-            t = float(np.clip(np.dot(x - p0, e) / np.dot(e, e), 0.0, 1.0))
-            foot = p0 + t * e
-            cap_d.append(float(np.linalg.norm(x - foot)))
-            cap_p.append(foot)
-        dists = np.concatenate([cand.dists, np.asarray(cap_d)])
-        points = np.concatenate([cand.points, np.stack(cap_p)])
-        return Candidates(dists, points, cand.continuum)
+        cand = super().projection_candidates(x, tol)
+        cap_d, cap_p = self._cap_feet(x[None, :])
+        return Candidates(np.concatenate([cand.dists, cap_d[0]]),
+                          np.concatenate([cand.points, cap_p[0]]))
 
     def project_many(self, pts):
         pts = as_points(pts, 2)
-        r = np.linalg.norm(pts, axis=1)
-        self._check_radius(r)
-        alpha = np.arctan2(pts[:, 1], pts[:, 0]) % _TWO_PI
-        target = np.clip(self.f_inv(np.maximum(r, 1e-300)), self.theta_min, self.theta_max)
-        k0 = np.round((target - alpha) / _TWO_PI)
-        best_d = np.full(len(pts), np.inf)
-        best_p = np.zeros_like(pts)
-        for dk in (-1, 0, 1):
-            theta_c = alpha + _TWO_PI * (k0 + dk)
-            lo = np.maximum(self.theta_min, theta_c - math.pi)
-            hi = np.minimum(self.theta_end, theta_c + math.pi)
-            ok = hi > lo
-            lo = np.where(ok, lo, self.theta_min)
-            hi = np.where(ok, hi, self.theta_min + 1e-9)
-            for inner in (False, True):
-                fn = self._inner_point if inner else self._outer_point
-                ts = _vec_param_minimize(pts, fn, lo, hi, False, scan=512)
-                proj = fn(ts)
-                d = np.where(ok, np.linalg.norm(pts - proj, axis=1), np.inf)
-                take = d < best_d
-                best_d[take] = d[take]
-                best_p[take] = proj[take]
+        best_d, best_p = super().project_many(pts)
+        cap_d, cap_p = self._cap_feet(pts)
         for which in (0, 1):
-            p0, p1 = self._cap_segment(which)
-            e = p1 - p0
-            t = np.clip((pts - p0) @ e / float(e @ e), 0.0, 1.0)
-            feet = p0 + t[:, None] * e
-            d = np.linalg.norm(pts - feet, axis=1)
-            take = d < best_d
-            best_d[take] = d[take]
-            best_p[take] = feet[take]
-        apex = r == 0.0
+            take = cap_d[:, which] < best_d
+            best_d[take] = cap_d[take, which]
+            best_p[take] = cap_p[take, which]
+        apex = ~pts.any(axis=1)
         best_d[apex] = 0.0
         best_p[apex] = 0.0
         return best_d, best_p
@@ -1008,130 +918,21 @@ class Spiral(Shape):
         if piece not in ("outer", "inner"):
             raise NotC1("chi windows on cap segments are not supported")
         inner = piece == "inner"
-        fn = self._inner_point if inner else self._outer_point
         shift = math.pi if inner else 0.0
         speed = math.hypot(float(self.f_prime(t0 + shift)), float(self.f(t0 + shift)))
         w = r / speed
         while (
-            np.linalg.norm(fn(np.array([max(self.theta_min, t0 - w)]))[0] - p) <= r
-            or np.linalg.norm(fn(np.array([min(self.theta_end, t0 + w)]))[0] - p) <= r
+            np.linalg.norm(self._points(int(inner), max(self.theta_min, t0 - w)) - p) <= r
+            or np.linalg.norm(self._points(int(inner), min(self.theta_end, t0 + w)) - p) <= r
         ):
             w *= 1.5
             if t0 - w < self.theta_min and t0 + w > self.theta_end:
                 break
         ts = np.clip(t0 + np.linspace(-w, w, 4 * n), self.theta_min, self.theta_end)
-        pts = fn(ts)
+        pts = self._points(int(inner), ts)
         keep = np.linalg.norm(pts - p, axis=1) <= r
         ts = ts[keep][:: max(1, int(np.sum(keep)) // n)]
-        return fn(ts), self._wall_normals(ts, inner)
-
-
-# ---------------------------------------------------------------------------
-# Shared parametric projection machinery
-# ---------------------------------------------------------------------------
-
-def _candidates_from_windows(x: np.ndarray, windows, tol: float,
-                             scan: int = SCAN_SAMPLES) -> Candidates:
-    """Scan + golden-section candidates over parametric boundary windows.
-
-    Each window is (vec_fn, dist_one, stat_one, lo, hi, closed), where
-    stat_one(t) = (curve(t) - x) . curve'(t) (or None to skip polishing).
-    Local scan minima are refined by golden section and then polished on the
-    stationarity equation; scan samples within tol of the global optimum that
-    do not belong to a refined basin are kept as representatives so that flat
-    near-optimal stretches still contribute to multiplicity counting.
-    """
-    refined = []   # (d, point, window_index, t)
-    scans = []     # (ts, ds, pts, step, closed, window_index)
-    for wi, (fn, dist_one, stat_one, lo, hi, closed) in enumerate(windows):
-        if hi <= lo:
-            continue
-        if closed:
-            ts = lo + (hi - lo) * np.arange(scan) / scan
-            step = (hi - lo) / scan
-        else:
-            ts = np.linspace(lo, hi, scan)
-            step = (hi - lo) / (scan - 1)
-        pts = fn(ts)
-        ds = np.linalg.norm(pts - x, axis=1)
-        minima = local_minima_indices(ds, closed)
-        if len(minima) > 32:
-            # Plateau (near-equidistant stretch): the scan itself is the best
-            # available answer; refinement of every sample would be wasted.
-            for i in minima:
-                refined.append((float(ds[i]), pts[i], wi, float(ts[i])))
-        else:
-            for i in minima:
-                if closed:
-                    a, b = ts[i] - step, ts[i] + step
-                else:
-                    a, b = max(lo, ts[i] - step), min(hi, ts[i] + step)
-                t_star, d_star = golden_section(dist_one, a, b)
-                at_edge = not closed and (
-                    t_star - lo < 1e-6 * step or hi - t_star < 1e-6 * step
-                )
-                if stat_one is not None and not at_edge:
-                    p_lo, p_hi = a - step, b + step
-                    if not closed:
-                        p_lo, p_hi = max(lo, p_lo), min(hi, p_hi)
-                    t_pol = stationary_polish(stat_one, t_star, p_lo, p_hi,
-                                              step0=max(1e-9, 1e-4 * step))
-                    d_pol = dist_one(t_pol)
-                    if d_pol <= d_star + 1e-12:
-                        t_star, d_star = t_pol, d_pol
-                refined.append((d_star, fn(np.array([t_star]))[0], wi, t_star))
-        scans.append((ts, ds, pts, step, closed, wi))
-
-    if not refined:
-        raise InvalidSpec("projection found no boundary candidates")
-    d_min = min(r[0] for r in refined)
-
-    dists = [r[0] for r in refined]
-    points = [r[1] for r in refined]
-    # Plateau representatives: scan samples tied with the optimum at measurement
-    # resolution (not merely within the caller's tol - a shallow smooth valley
-    # is still a single minimizer) and outside every refined basin.
-    flat_tol = max(1e-12, 1e-9 * d_min)
-    for ts, ds, pts, step, closed, wi in scans:
-        near = ds <= d_min + flat_tol
-        if not np.any(near):
-            continue
-        ref_ts = np.asarray([r[3] for r in refined if r[2] == wi])
-        for i in np.nonzero(near)[0]:
-            if len(ref_ts) and np.min(np.abs(ref_ts - ts[i])) <= 1.5 * step:
-                continue
-            dists.append(float(ds[i]))
-            points.append(pts[i])
-    return Candidates(np.asarray(dists), np.stack(points))
-
-
-def _vec_param_minimize(pts: np.ndarray, fn, lo, hi, closed: bool,
-                        scan: int = SCAN_SAMPLES) -> np.ndarray:
-    """Per-query parameter of the global distance minimum along one curve.
-
-    ``lo``/``hi`` may be scalars or per-query arrays; ``fn`` maps a parameter
-    array of any shape to points with one extra trailing axis.
-    """
-    n = len(pts)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), (n,))
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,))
-    u = np.arange(scan) / scan if closed else np.linspace(0.0, 1.0, scan)
-    ts = lo[:, None] + (hi - lo)[:, None] * u[None, :]
-    d = np.linalg.norm(fn(ts) - pts[:, None, :], axis=2)
-    i = np.argmin(d, axis=1)
-    step = (hi - lo) / (scan if closed else scan - 1)
-    t_best = ts[np.arange(n), i]
-    a = t_best - step
-    b = t_best + step
-    if not closed:
-        a = np.maximum(a, lo)
-        b = np.minimum(b, hi)
-
-    def objective(t):
-        return np.linalg.norm(fn(t) - pts, axis=1)
-
-    t_ref, _ = golden_section_vec(objective, a, b)
-    return t_ref
+        return self._points(int(inner), ts), self._wall_normals(ts, inner)
 
 
 # ---------------------------------------------------------------------------
@@ -1169,31 +970,16 @@ def make_shape(spec) -> Shape:
 
 
 def shape_spec(shape: Shape) -> dict:
-    """Inverse of make_shape: a JSON-serializable spec mapping."""
-    if isinstance(shape, Disk):
-        return {"type": "disk", "center": shape.center.tolist(), "radius": shape.radius}
-    if isinstance(shape, Ellipse):
-        return {
-            "type": "ellipse",
-            "semi_axes": shape.semi_axes.tolist(),
-            "center": shape.center.tolist(),
-        }
-    if isinstance(shape, HalfSpace):
-        return {
-            "type": "halfspace",
-            "unit_normal": shape.unit_normal.tolist(),
-            "offset": shape.offset,
-        }
-    if isinstance(shape, Polygon):
-        return {"type": "polygon", "vertices": shape.vertices.tolist()}
-    if isinstance(shape, Spiral):
-        return {
-            "type": "spiral",
-            "beta": shape.beta,
-            "theta_min": shape.theta_min,
-            "theta_max": shape.theta_max,
-            "wall": shape.wall,
-        }
-    if isinstance(shape, Cusp):
-        return {"type": "cusp", "alpha": shape.alpha}
-    raise InvalidSpec(f"cannot serialize shape of type {type(shape).__name__}")
+    """Inverse of make_shape: a JSON-serializable spec mapping.
+
+    The fields are the dataclass fields that the constructor takes.
+    """
+    kind = next((k for k, cls in _SHAPE_TYPES.items() if type(shape) is cls), None)
+    if kind is None:
+        raise InvalidSpec(f"cannot serialize shape of type {type(shape).__name__}")
+    spec = {"type": kind}
+    for f in fields(shape):
+        if f.init:
+            v = getattr(shape, f.name)
+            spec[f.name] = v.tolist() if isinstance(v, np.ndarray) else v
+    return spec

@@ -46,4 +46,6 @@ def boxes_for(shape):
         return np.array([-2.0, -2.0]), np.array([2.0, 2.0])
     if isinstance(shape, Cusp):
         return np.array([-0.5, -1.5]), np.array([2.5, 1.5])
+    if isinstance(shape, Spiral):
+        return np.array([-1.2, -1.2]), np.array([1.2, 1.2])
     raise ValueError("no box")

@@ -147,3 +147,27 @@ def test_deterministic_output(disk_scene, tmp_path, capsys):
     main(["verify", "eikonal", "--scene", disk_scene, "--n", "20", "--seed", "7"])
     second = capsys.readouterr().out
     assert first == second
+
+
+def test_bad_trace_step_exits_two(disk_scene, capsys):
+    assert main(["trace", "--scene", disk_scene, "--start", "0.5,0", "--dt", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_malformed_start_exits_two(disk_scene, capsys):
+    assert main(["trace", "--scene", disk_scene, "--start", "0.5,abc"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_eikonal_gives_up_on_a_tiny_disk(tmp_path, capsys):
+    # Every sample of the default box lies within 1e-2 of the boundary.
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"shape": {"type": "disk", "center": [0.0, 0.0],
+                                          "radius": 1e-3}}))
+    assert main(["verify", "eikonal", "--scene", str(path), "--n", "5"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_verify_eikonal_rejects_empty_sample(disk_scene, capsys):
+    assert main(["verify", "eikonal", "--scene", disk_scene, "--n", "0"]) == 2
+    assert capsys.readouterr().out == ""

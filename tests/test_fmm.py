@@ -5,6 +5,7 @@ from distfield import (
     EmptyBand,
     GridField,
     GridSpec,
+    InvalidSpec,
     InvalidTube,
     LevelOutOfRange,
     extract_level_set,
@@ -165,6 +166,16 @@ def test_grid_csv_round_trip(unit_disk):
     assert again.spec.h == field.spec.h
     assert np.array_equal(again.values, field.values)
     assert np.array_equal(again.frozen, field.frozen)
+
+
+def test_grid_csv_rejects_truncated_sections(unit_disk):
+    grid = GridSpec.from_bbox((-1.5, -1.5), (1.5, 1.5), 4)
+    lines = grid_to_csv(solve_fmm(unit_disk, grid)).splitlines()
+    values_at, frozen_at = lines.index("values"), lines.index("frozen")
+    for cut in (values_at + 1, frozen_at + 1, values_at):
+        text = "\n".join(lines[:cut] + lines[cut + 1 :]) + "\n"
+        with pytest.raises(InvalidSpec):
+            grid_from_csv(text)
 
 
 def test_grid_json_round_trip(unit_disk):

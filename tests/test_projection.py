@@ -5,6 +5,7 @@ from distfield import (
     CONTINUUM,
     brute_force_distance_many,
     gradient,
+    gradient_many,
     is_medial,
     nearest_points,
     signed_distance,
@@ -150,3 +151,30 @@ def test_default_tol_applies(unit_disk):
 def test_tol_must_be_positive(unit_disk):
     with pytest.raises(ValueError):
         nearest_points(unit_disk, (0.5, 0.0), tol=0.0)
+
+
+def test_scalar_and_batched_distances_agree(unit_disk, ellipse21, cusp_half, spiral_pow,
+                                            unit_square, halfspace_x):
+    for shape in (unit_disk, ellipse21, cusp_half, spiral_pow, unit_square, halfspace_x):
+        pts = sample_points(shape, 300, seed=23)
+        if shape is spiral_pow:
+            # keep clear of the truncation zone around the apex
+            pts = pts[np.linalg.norm(pts, axis=1) >= 0.01]
+        batched = np.abs(signed_distance_many(shape, pts))
+        scalar = np.array([nearest_points(shape, p).distance for p in pts])
+        assert np.max(np.abs(batched - scalar)) <= 1e-15
+
+
+def test_batched_nearest_points_are_refined(ellipse21, cusp_half):
+    for shape in (ellipse21, cusp_half):
+        pts = sample_points(shape, 300, seed=29)
+        unique = [nearest_points(shape, p) for p in pts]
+        pts = pts[[r.distance > 1e-3 and r.multiplicity == 1 for r in unique]]
+        assert len(pts) >= 250
+        scalar = np.array([gradient(shape, p) for p in pts])
+        assert np.max(np.abs(gradient_many(shape, pts) - scalar)) <= 1e-12
+        # normal condition: x - p(x) is parallel to the inner normal at p(x)
+        d, proj = shape.project_many(pts)
+        u = (pts - proj) / d[:, None]
+        normals = np.array([shape.inner_normal(q) for q in proj])
+        assert np.max(np.abs(u[:, 0] * normals[:, 1] - u[:, 1] * normals[:, 0])) <= 1e-12

@@ -1,7 +1,11 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from distfield import (
     Cusp,
@@ -17,6 +21,7 @@ from distfield import (
     make_shape,
     shape_spec,
     signed_distance,
+    signed_distance_many,
 )
 
 
@@ -152,10 +157,58 @@ def test_spiral_needs_more_than_one_turn():
 
 def test_shape_spec_round_trip(unit_disk, ellipse21, unit_square, cusp_half, spiral_pow,
                                halfspace_x):
-    for shape in (unit_disk, ellipse21, unit_square, cusp_half, spiral_pow, halfspace_x):
+    for shape in (unit_disk, ellipse21, unit_square, cusp_half, spiral_pow, halfspace_x,
+                  Cusp(0.5, extent=1.0), HalfSpace((0.0, 1.0), 0.5, extent=3.0)):
         again = make_shape(shape_spec(shape))
         assert type(again) is type(shape)
         assert shape_spec(again) == shape_spec(shape)
+        assert getattr(again, "extent", None) == getattr(shape, "extent", None)
+
+
+_finite = st.floats(-2.0, 2.0)
+_shapes = st.one_of(
+    st.builds(Disk, st.tuples(_finite, _finite), st.floats(0.1, 3.0)),
+    st.builds(Ellipse, st.tuples(st.floats(0.1, 3.0), st.floats(0.1, 3.0)),
+              st.tuples(_finite, _finite)),
+    st.builds(lambda a, o, e: HalfSpace((math.cos(a), math.sin(a)), o, extent=e),
+              st.floats(0.0, 2.0 * math.pi), _finite, st.floats(0.5, 20.0)),
+    st.builds(Cusp, st.floats(0.05, 0.95), st.floats(0.5, 8.0)),
+    st.builds(lambda b, w: Spiral(beta=b, theta_max=20.0 * math.pi, wall=w),
+              st.floats(0.2, 2.0), st.sampled_from(["power", "exp"])),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_shapes)
+def test_shape_spec_json_round_trip_property(shape):
+    spec = shape_spec(shape)
+    again = make_shape(json.loads(json.dumps(spec)))
+    assert type(again) is type(shape)
+    assert shape_spec(again) == spec
+
+
+@settings(deadline=None, max_examples=40)
+@given(_shapes, st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 5))
+@example(Disk((0.0, 0.0), 1.0), math.nan, 0)
+@example(Ellipse((2.0, 1.0)), math.inf, 0)
+def test_batched_queries_reject_non_finite_points(shape, bad, row):
+    pts = np.full((6, 2), 0.7)
+    pts[row, row % 2] = bad
+    for query in (lambda p: signed_distance_many(shape, p), shape.project_many,
+                  shape.contains_many):
+        with pytest.raises(InvalidSpec):
+            query(pts)
+
+
+def test_ellipse_projection_memory_is_bounded(ellipse21):
+    pts = np.random.default_rng(31).uniform(-3.0, 3.0, size=(8000, 2))
+    tracemalloc.start()
+    try:
+        ellipse21.project_many(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
 
 
 def test_ball_3d_distance():
