@@ -34,7 +34,7 @@ from .regularity import (
     differentiability_test,
     gradient_lipschitz_estimate,
 )
-from .shapes import Cusp, Disk, Ellipse, HalfSpace, Polygon, Shape, Spiral, make_shape
+from .shapes import Cusp, Shape, Spiral, make_shape
 
 
 def _fmt(v: float) -> str:
@@ -54,31 +54,10 @@ def _load_scene(path: str):
     return shape, grid, tol
 
 
-def _default_box(shape: Shape) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(shape, Disk):
-        return shape.center - 2 * shape.radius, shape.center + 2 * shape.radius
-    if isinstance(shape, Ellipse):
-        return shape.center - 2 * shape.semi_axes, shape.center + 2 * shape.semi_axes
-    if isinstance(shape, Polygon):
-        lo = shape.vertices.min(axis=0)
-        hi = shape.vertices.max(axis=0)
-        pad = 0.5 * (hi - lo)
-        return lo - pad, hi + pad
-    if isinstance(shape, HalfSpace):
-        anchor = shape.offset * shape.unit_normal
-        return anchor - 2.0, anchor + 2.0
-    if isinstance(shape, Cusp):
-        return np.array([-0.5, -1.5]), np.array([2.5, 1.5])
-    if isinstance(shape, Spiral):
-        r = float(shape.f(shape.theta_min)) * 1.2
-        return np.array([-r, -r]), np.array([r, r])
-    raise DistanceFieldError(f"no default box for {type(shape).__name__}")
-
-
 def _require_grid(shape, grid) -> GridSpec:
     if grid is not None:
         return grid
-    lo, hi = _default_box(shape)
+    lo, hi = shape.bbox()
     return GridSpec.from_bbox(lo, hi, 64)
 
 
@@ -169,7 +148,7 @@ def _cmd_levelset(args) -> int:
 
 
 def _interior_point(shape: Shape, rng) -> np.ndarray:
-    lo, hi = _default_box(shape)
+    lo, hi = shape.bbox()
     for _ in range(10000):
         p = rng.uniform(lo, hi)
         if shape.contains(p) and not is_medial(shape, p, 1e-6):
@@ -180,7 +159,7 @@ def _interior_point(shape: Shape, rng) -> np.ndarray:
 def _verify_eikonal(shape, args, rng) -> dict:
     if args.n < 1:
         raise PreconditionViolated("--n must be at least 1")
-    lo, hi = _default_box(shape)
+    lo, hi = shape.bbox()
     h = 1e-5
     checked = 0
     max_norm_err = 0.0
@@ -288,7 +267,7 @@ def _verify_c1(shape, args, rng) -> dict:
 
 
 def _verify_lipschitz(shape, args, rng) -> dict:
-    lo, hi = _default_box(shape)
+    lo, hi = shape.bbox()
     delta = args.delta
     box = SampleBox(lo=lo, hi=hi, d_max=args.dmax)
     lhat = gradient_lipschitz_estimate(shape, a=0.0, delta=delta, n_pairs=args.n,

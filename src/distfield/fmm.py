@@ -3,11 +3,13 @@
 The solver freezes every grid node within two spacings of the boundary to its
 exact signed distance, then fills each sign region independently with the
 standard upwind quadratic update driven by a min-heap narrow band, and merges
-the two regions with the inside-positive sign convention.  Level sets are
-extracted with linear interpolation along cell edges (marching squares), and
-the distance-to-level-set identity dist(y, S_a) = u(y) - a can be verified
-against a dense sampling of the analytic level set.
-"""
+the two regions with the inside-positive sign convention.  The march runs on
+the grid padded by one dead node per side, so every neighbour is a fixed index
+offset.  Level sets are extracted with linear interpolation along cell edges
+(marching squares); the cells are classified with numpy and only the active
+ones, whose corners straddle the level, are visited.  The distance-to-level-set
+identity dist(y, S_a) = u(y) - a can be verified against a dense sampling of
+the analytic level set."""
 
 from __future__ import annotations
 
@@ -72,7 +74,6 @@ class GridField:
     spec: GridSpec
     values: np.ndarray       # flat, row-major
     frozen: np.ndarray       # flat bool, exact-initialization band
-    acceptance: list | None = None  # per-region accepted values, in order
 
     def values_nd(self) -> np.ndarray:
         return self.values.reshape(self.spec.dims)
@@ -81,81 +82,90 @@ class GridField:
         return self.frozen.reshape(self.spec.dims)
 
 
-def _quadratic_update(avals: list[float], h: float) -> float:
-    """Upwind update from per-axis accepted minima, largest consistent stencil.
-
-    Axes are added in increasing order while the running candidate exceeds the
-    next axis value; a negative discriminant or an inconsistent root falls back
-    to the one-sided (Dijkstra-like) value.
-    """
-    avals.sort()
-    u = avals[0] + h
-    if len(avals) > 1 and u > avals[1]:
-        a, b = avals[0], avals[1]
-        disc = 2.0 * h * h - (a - b) * (a - b)
-        if disc >= 0.0:
-            cand = 0.5 * ((a + b) + math.sqrt(disc))
-            if cand >= b:
-                u = cand
-    if len(avals) > 2 and u > avals[2]:
-        s1 = avals[0] + avals[1] + avals[2]
-        s2 = avals[0] ** 2 + avals[1] ** 2 + avals[2] ** 2
-        disc = s1 * s1 - 3.0 * (s2 - h * h)
-        if disc >= 0.0:
-            cand = (s1 + math.sqrt(disc)) / 3.0
-            if cand >= avals[2]:
-                u = cand
-    return u
-
-
 def _march_region(dims, h: float, alive: np.ndarray, seed_idx: np.ndarray,
                   seed_val: np.ndarray):
-    """Fast-march one sign region; returns (flat distances, acceptance order)."""
-    m = len(dims)
-    n = int(np.prod(dims))
-    strides = [int(np.prod(dims[d + 1 :])) for d in range(m)]
-    dist = [math.inf] * n
-    state = bytearray(n)  # 0 far, 1 narrow, 2 accepted
-    alive_list = alive.tolist()
-    heap: list[tuple[float, int]] = []
-    for i, v in zip(seed_idx.tolist(), seed_val.tolist()):
+    """Fast-march one sign region; returns (flat distances, out-of-order pops).
+
+    The march runs on the grid padded by one dead node per side, so neighbours
+    are fixed index offsets with no bounds checks; the padded row-major index
+    keeps the order of the original one, so heap ties break the same way.
+    ``open_`` marks the alive nodes not yet accepted and ``done`` holds the
+    accepted values (+inf elsewhere).  The update is the upwind quadratic over
+    the per-axis accepted minima in increasing order, using the largest
+    consistent stencil; a negative discriminant or an inconsistent root falls
+    back to the one-sided (Dijkstra-like) value.  An out-of-order pop is an
+    accepted value below the previously accepted one.
+    """
+    padded = tuple(d + 2 for d in dims)
+    where = np.arange(int(np.prod(padded))).reshape(padded)[(slice(1, -1),) * len(dims)].ravel()
+    strides = [int(np.prod(padded[d + 1 :])) for d in range(len(dims))]
+    offsets = [o for s in strides for o in (-s, s)]
+    three = len(dims) == 3
+    sx, sy, sz = strides if three else (*strides, 0)
+    open_ = bytearray(np.pad(alive.reshape(dims), 1).tobytes())
+    inf, sqrt = math.inf, math.sqrt
+    heappush, heappop = heapq.heappush, heapq.heappop
+    h2x2, hh = 2.0 * h * h, h * h
+    dist = [inf] * len(open_)
+    done = [inf] * len(open_)
+    heap = list(zip(seed_val.tolist(), where[seed_idx].tolist()))
+    for v, i in heap:
         dist[i] = v
-        heap.append((v, i))
     heapq.heapify(heap)
-    order: list[float] = []
-
-    def update(j: int) -> float:
-        avals = []
-        for d in range(m):
-            s = strides[d]
-            c = (j // s) % dims[d]
-            best = math.inf
-            if c > 0 and state[j - s] == 2:
-                best = dist[j - s]
-            if c < dims[d] - 1 and state[j + s] == 2 and dist[j + s] < best:
-                best = dist[j + s]
-            if best < math.inf:
-                avals.append(best)
-        return _quadratic_update(avals, h)
-
+    last = -inf
+    out_of_order = 0
     while heap:
-        v, i = heapq.heappop(heap)
-        if state[i] == 2:
+        v, i = heappop(heap)
+        if not open_[i]:
             continue
-        state[i] = 2
-        order.append(v)
-        for d in range(m):
-            s = strides[d]
-            c = (i // s) % dims[d]
-            for j, ok in ((i - s, c > 0), (i + s, c < dims[d] - 1)):
-                if not ok or state[j] == 2 or not alive_list[j]:
-                    continue
-                u = update(j)
-                if u < dist[j]:
-                    dist[j] = u
-                    state[j] = 1
-                    heapq.heappush(heap, (u, j))
-    return dist, order
+        open_[i] = 0
+        done[i] = v
+        if v < last:
+            out_of_order += 1
+        last = v
+        for o in offsets:
+            j = i + o
+            if not open_[j]:
+                continue
+            # Per-axis accepted minima, sorted into a <= b (<= c).
+            a = done[j - sx]
+            t = done[j + sx]
+            if t < a:
+                a = t
+            b = done[j - sy]
+            t = done[j + sy]
+            if t < b:
+                b = t
+            if b < a:
+                a, b = b, a
+            if three:
+                c = done[j - sz]
+                t = done[j + sz]
+                if t < c:
+                    c = t
+                if c < b:
+                    b, c = c, b
+                    if b < a:
+                        a, b = b, a
+            u = a + h
+            if u > b:
+                disc = h2x2 - (a - b) * (a - b)
+                if disc >= 0.0:
+                    cand = 0.5 * ((a + b) + sqrt(disc))
+                    if cand >= b:
+                        u = cand
+                if three and u > c:
+                    s1 = a + b + c
+                    s2 = a ** 2 + b ** 2 + c ** 2
+                    disc = s1 * s1 - 3.0 * (s2 - hh)
+                    if disc >= 0.0:
+                        cand = (s1 + sqrt(disc)) / 3.0
+                        if cand >= c:
+                            u = cand
+            if u < dist[j]:
+                dist[j] = u
+                heappush(heap, (u, j))
+    return np.asarray(done)[where], out_of_order
 
 
 def solve_fmm(shape: Shape, grid: GridSpec, band_width: float = 2.0) -> GridField:
@@ -174,19 +184,16 @@ def solve_fmm(shape: Shape, grid: GridSpec, band_width: float = 2.0) -> GridFiel
         raise EmptyBand("grid does not intersect the boundary band")
 
     mag = np.full(grid.n_nodes, np.inf)
-    acceptance = []
     for region in (inside, ~inside):
         seeds = np.nonzero(region & frozen)[0]
         if len(seeds) == 0:
             continue
-        dist, order = _march_region(grid.dims, grid.h, region, seeds, np.abs(sd[seeds]))
-        sel = np.nonzero(region)[0]
-        mag[sel] = np.asarray(dist, dtype=float)[sel]
-        acceptance.append(order)
+        dist, _ = _march_region(grid.dims, grid.h, region, seeds, np.abs(sd[seeds]))
+        mag[region] = dist[region]
 
     values = np.where(np.isfinite(mag), np.where(inside, mag, -mag), np.inf)
     values[frozen] = sd[frozen]
-    return GridField(spec=grid, values=values, frozen=frozen, acceptance=acceptance)
+    return GridField(spec=grid, values=values, frozen=frozen)
 
 
 # ---------------------------------------------------------------------------
@@ -215,58 +222,59 @@ def extract_level_set(field: GridField, a: float) -> LevelSet:
     if not np.any(finite) or not (np.min(vals[finite]) <= a <= np.max(vals[finite])):
         raise LevelOutOfRange(f"level {a} outside the field range")
     f = vals - a
-    nx, ny = field.spec.dims
-    ox, oy = field.spec.origin
+    ny = field.spec.dims[1]
+    ox, oy = (float(v) for v in field.spec.origin)
     h = field.spec.h
+
+    # Corner values of every cell in CCW walk order.  Only the cells whose four
+    # corners are finite and straddle the level produce segments; np.nonzero
+    # visits them in row-major order.
+    corner_off = ((0, 0), (1, 0), (1, 1), (0, 1))
+    corners = np.stack([f[:-1, :-1], f[1:, :-1], f[1:, 1:], f[:-1, 1:]], axis=-1)
+    n_pos = np.sum(corners >= 0.0, axis=-1)
+    active = np.all(np.isfinite(corners), axis=-1) & (n_pos > 0) & (n_pos < 4)
+    cell_i, cell_j = np.nonzero(active)
 
     crossings: dict[tuple[int, int, int], tuple[float, float]] = {}
 
-    def crossing(i0, j0, i1, j1):
+    def crossing(i0, j0, fa, i1, j1, fb):
         """Crossing point on the edge between two nodes, computed once per edge."""
         if (i1, j1) < (i0, j0):
-            i0, j0, i1, j1 = i1, j1, i0, j0
+            i0, j0, fa, i1, j1, fb = i1, j1, fb, i0, j0, fa
         key = (i0, j0, i1 * ny + j1)
         pt = crossings.get(key)
         if pt is None:
-            fa, fb = f[i0, j0], f[i1, j1]
             t = fa / (fa - fb)
             pt = (ox + h * (i0 + t * (i1 - i0)), oy + h * (j0 + t * (j1 - j0)))
             crossings[key] = pt
         return pt
 
     segments: list[tuple[tuple, tuple]] = []
-    corner_off = ((0, 0), (1, 0), (1, 1), (0, 1))  # CCW cell walk
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            fc = [f[i + di, j + dj] for di, dj in corner_off]
-            if not all(np.isfinite(fc)):
+    for i, j, fc in zip(cell_i.tolist(), cell_j.tolist(), corners[active].tolist()):
+        pos = [v >= 0.0 for v in fc]
+        leaves, enters = [], []
+        for k in range(4):
+            k2 = (k + 1) % 4
+            if pos[k] == pos[k2]:
                 continue
-            pos = [v >= 0.0 for v in fc]
-            if all(pos) or not any(pos):
-                continue
-            leaves, enters = [], []
-            for k in range(4):
-                k2 = (k + 1) % 4
-                if pos[k] == pos[k2]:
-                    continue
-                di0, dj0 = corner_off[k]
-                di1, dj1 = corner_off[k2]
-                pt = crossing(i + di0, j + dj0, i + di1, j + dj1)
-                (leaves if pos[k] else enters).append((k, pt))
-            if len(leaves) == 1:
-                segments.append((leaves[0][1], enters[0][1]))
-            else:
-                # Saddle: the cell average decides which corners connect, i.e.
-                # whether each leave crossing joins the next or the previous
-                # enter crossing along the CCW cell walk.
-                en = dict(enters)
-                en_keys = sorted(en)
-                for kl, p_from in sorted(leaves):
-                    if sum(fc) >= 0.0:
-                        ke = min((k for k in en_keys if k > kl), default=en_keys[0])
-                    else:
-                        ke = max((k for k in en_keys if k < kl), default=en_keys[-1])
-                    segments.append((p_from, en[ke]))
+            di0, dj0 = corner_off[k]
+            di1, dj1 = corner_off[k2]
+            pt = crossing(i + di0, j + dj0, fc[k], i + di1, j + dj1, fc[k2])
+            (leaves if pos[k] else enters).append((k, pt))
+        if len(leaves) == 1:
+            segments.append((leaves[0][1], enters[0][1]))
+        else:
+            # Saddle: the cell average decides which corners connect, i.e.
+            # whether each leave crossing joins the next or the previous
+            # enter crossing along the CCW cell walk.
+            en = dict(enters)
+            en_keys = sorted(en)
+            for kl, p_from in sorted(leaves):
+                if sum(fc) >= 0.0:
+                    ke = min((k for k in en_keys if k > kl), default=en_keys[0])
+                else:
+                    ke = max((k for k in en_keys if k < kl), default=en_keys[-1])
+                segments.append((p_from, en[ke]))
 
     return LevelSet(level=float(a), chains=_assemble_chains(segments))
 
@@ -298,11 +306,10 @@ def _assemble_chains(segments) -> list:
     starts = sorted(p for p in succ if indeg.get(p, 0) == 0)
     for s in starts:
         chains.append(walk(s))
-    remaining = sorted(p for p in succ if p not in visited)
-    while remaining:
-        # Closed loop: start from the lexicographically smallest vertex.
-        chains.append(walk(remaining[0]))
-        remaining = sorted(p for p in succ if p not in visited)
+    # Closed loops, each started from its lexicographically smallest vertex.
+    for p in sorted(succ):
+        if p not in visited:
+            chains.append(walk(p))
 
     out = [np.asarray(c) for c in chains]
     out.sort(key=lambda c: (len(c) == 0, tuple(c[0]) if len(c) else ()))

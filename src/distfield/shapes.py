@@ -116,6 +116,10 @@ class Shape:
     def contains(self, x) -> bool:
         raise NotImplementedError
 
+    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
+        """Default (lo, hi) box around the shape, for grids that a scene leaves out."""
+        raise NotImplementedError
+
     # -- boundary -----------------------------------------------------------
     def boundary_sample(self, spacing: float) -> np.ndarray:
         return self.boundary_sample_with_normals(spacing)[0]
@@ -216,6 +220,9 @@ class Disk(Shape):
         )
         return self.center + self.radius * rim, -rim
 
+    def bbox(self):
+        return self.center - 2 * self.radius, self.center + 2 * self.radius
+
     def inner_normal(self, p) -> np.ndarray:
         p = as_point(p, self.dim)
         s = float(np.linalg.norm(p - self.center))
@@ -255,8 +262,9 @@ class Disk(Shape):
         pts = as_points(pts, self.dim)
         v = pts - self.center
         s = np.linalg.norm(v, axis=1)
-        safe = np.maximum(s, 1e-300)
+        safe = np.where(s > 0.0, s, 1.0)
         proj = self.center + self.radius * v / safe[:, None]
+        proj[s == 0.0, 0] += self.radius  # the centre: every rim point is nearest; take c + r e1
         return np.abs(self.radius - s), proj
 
     def boundary_window(self, p, r: float, n: int):
@@ -327,6 +335,10 @@ class HalfSpace(Shape):
             pts = anchor + u.reshape(-1, 1) * tb[0] + v.reshape(-1, 1) * tb[1]
         normals = np.broadcast_to(self.unit_normal, pts.shape).copy()
         return pts, normals
+
+    def bbox(self):
+        anchor = self.offset * self.unit_normal
+        return anchor - 2.0, anchor + 2.0
 
     def inner_normal(self, p) -> np.ndarray:
         p = as_point(p, self.dim)
@@ -432,6 +444,12 @@ class Polygon(Shape):
 
     def nonsmooth_boundary_points(self) -> np.ndarray:
         return self.vertices.copy()
+
+    def bbox(self):
+        lo = self.vertices.min(axis=0)
+        hi = self.vertices.max(axis=0)
+        pad = 0.5 * (hi - lo)
+        return lo - pad, hi + pad
 
     def inner_normal(self, p) -> np.ndarray:
         p = as_point(p, 2)
@@ -547,6 +565,9 @@ class Ellipse(Shape):
         ts = 2.0 * math.pi * np.arange(n) / n
         return self._points(0, ts), self._normal_at(ts)
 
+    def bbox(self):
+        return self.center - 2 * self.semi_axes, self.center + 2 * self.semi_axes
+
     def inner_normal(self, p) -> np.ndarray:
         p = as_point(p, 2)
         self._check_on_boundary(p)
@@ -636,6 +657,9 @@ class Cusp(Shape):
         n_up = np.stack([np.ones_like(ts), -slope], axis=-1) / nrm[:, None]
         n_dn = np.stack([np.ones_like(ts[1:]), slope[1:]], axis=-1) / nrm[1:, None]
         return np.concatenate([up, dn]), np.concatenate([n_up, n_dn])
+
+    def bbox(self):
+        return np.array([-0.5, -1.5]), np.array([2.5, 1.5])
 
     def inner_normal(self, p) -> np.ndarray:
         p = as_point(p, 2)
@@ -872,6 +896,10 @@ class Spiral(Shape):
         if best[0] > ON_BOUNDARY_TOL:
             raise NotOnBoundary("point is not on the spiral boundary")
         return best[1], best[2]
+
+    def bbox(self):
+        r = float(self.f(self.theta_min)) * 1.2
+        return np.array([-r, -r]), np.array([r, r])
 
     def inner_normal(self, p) -> np.ndarray:
         p = as_point(p, 2)

@@ -217,3 +217,27 @@ def test_ball_3d_distance():
     assert np.isclose(signed_distance(ball, (0.0, 2.0, 0.0)), -1.0)
     n = ball.inner_normal((0.0, 0.0, 1.0))
     assert np.allclose(n, (0.0, 0.0, -1.0), atol=1e-12)
+
+
+@pytest.mark.parametrize("center", [(0.3, -0.2), (1.0, 2.0, -0.5)])
+def test_disk_project_many_at_center_returns_rim_point(center):
+    disk = Disk(center, 0.7)
+    pts = np.array([center, np.add(center, 0.1)])
+    d, proj = disk.project_many(pts)
+    assert d[0] == 0.7
+    assert np.isclose(np.linalg.norm(proj[0] - disk.center), 0.7, rtol=0, atol=1e-15)
+    assert np.isclose(np.linalg.norm(proj[1] - disk.center), 0.7, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("shape", [
+    Disk((0.3, -0.2), 0.7), Disk((0.0, 0.0, 1.0), 2.0), Ellipse((2.0, 1.0), (0.5, 0.0)),
+    HalfSpace((0.0, 1.0), 0.3), Polygon([(0, 0), (2, 0), (2, 1), (0, 1)]), Cusp(0.5),
+    Spiral(beta=1.0),
+], ids=lambda s: type(s).__name__)
+def test_bbox_holds_interior_and_exterior_nodes(shape):
+    lo, hi = shape.bbox()
+    assert lo.shape == hi.shape == (shape.dim,) and np.all(lo < hi)
+    axes = [np.linspace(a, b, 17) for a, b in zip(lo, hi)]
+    nodes = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    inside = shape.contains_many(nodes)
+    assert np.any(inside) and not np.all(inside)
