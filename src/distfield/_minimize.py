@@ -7,7 +7,8 @@ queries, and each seed is refined by a Newton iteration on the stationarity
 function g(t) = (c(t) - x) . c'(t), kept inside the bracket of the seed's scan
 neighbours.  ``project`` refines the scan argmin of every window (the global
 nearest point per query); ``candidates`` refines every local scan minimum of
-one query.
+one query and reports each candidate's piece and parameter, so that locating a
+boundary point on the pieces is its argmin.
 """
 
 from __future__ import annotations
@@ -147,7 +148,10 @@ def local_minima_indices(values: np.ndarray, closed: bool):
 
 
 def candidates(shape, x: np.ndarray):
-    """Nearest-point candidates of one query on the curved pieces: (dists, points).
+    """Nearest-point candidates of one query on the curved pieces.
+
+    Returns (dists, points, pieces, ts): each candidate's distance, point, and
+    the piece and parameter it lies at.
 
     Every local scan minimum is refined, except in a window with more than
     PLATEAU_MINIMA minima, which keeps its scan minima as they are.  Scan
@@ -169,7 +173,8 @@ def candidates(shape, x: np.ndarray):
     t, sw = ts[w, i], step[w]
     a, b = _brackets(t, sw, lo[w], hi[w], closed)
     seed = _vertex(t, sw, ds[w, im], ds[w, i], ds[w, ip])
-    t, px, py, d = refine(shape._curve, pieces[w], x[0], x[1], seed, a, b)
+    piece = pieces[w]
+    t, px, py, d = refine(shape._curve, piece, x[0], x[1], seed, a, b)
     flat = np.bincount(w)[w] > PLATEAU_MINIMA
     if flat.any():
         t, px, py, d = (np.where(flat, scan[w, i], ref)
@@ -181,6 +186,7 @@ def candidates(shape, x: np.ndarray):
             np.abs(ts[nw, ni][:, None] - t[None, :]) <= 1.5 * step[nw][:, None])
         reps = ~covered.any(axis=1)
         nw, ni = nw[reps], ni[reps]
-        d = np.concatenate([d, ds[nw, ni]])
+        d, piece, t = (np.concatenate([d, ds[nw, ni]]), np.concatenate([piece, pieces[nw]]),
+                       np.concatenate([t, ts[nw, ni]]))
         px, py = np.concatenate([px, sx[nw, ni]]), np.concatenate([py, sy[nw, ni]])
-    return d, np.stack([px, py], axis=1)
+    return d, np.stack([px, py], axis=1), piece, t

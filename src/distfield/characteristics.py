@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import csv_row
 from .errors import StartNotInDomain, StartOnMedialAxis, TooFewSamples
 from .projection import gradient, gradient_from_result, nearest_points, signed_distance
 from .shapes import Shape, as_point
@@ -142,6 +143,5 @@ def path_to_csv(path: CharacteristicPath) -> str:
     buf = io.StringIO()
     buf.write("t," + ",".join(f"x{i+1}" for i in range(m)) + ",d\n")
     for t, p, d in zip(path.times, path.points, path.distances):
-        cells = [format(t, ".17g")] + [format(v, ".17g") for v in p] + [format(d, ".17g")]
-        buf.write(",".join(cells) + "\n")
+        buf.write(csv_row([t, *p, d]) + "\n")
     return buf.getvalue()

@@ -17,6 +17,7 @@ import sys
 
 import numpy as np
 
+from ._csv import csv_row
 from .characteristics import path_to_csv, trace, verify_characteristic
 from .counterexamples import (
     cusp_medial_check,
@@ -35,10 +36,6 @@ from .regularity import (
     gradient_lipschitz_estimate,
 )
 from .shapes import Cusp, Shape, Spiral, make_shape
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def _load_scene(path: str):
@@ -98,7 +95,7 @@ def _cmd_medial(args) -> int:
     for p in grid.nodes():
         try:
             if is_medial(shape, p, tol):
-                rows.append(",".join(_fmt(v) for v in p))
+                rows.append(csv_row(p))
         except DistanceFieldError:
             continue
     _write(args.out, "\n".join(rows) + "\n")
@@ -142,7 +139,7 @@ def _cmd_levelset(args) -> int:
     rows = ["chain,x1,x2"]
     for ci, chain in enumerate(ls.chains):
         for v in chain:
-            rows.append(f"{ci}," + ",".join(_fmt(c) for c in v))
+            rows.append(f"{ci}," + csv_row(v))
     _write(args.out, "\n".join(rows) + "\n")
     return 0
 
@@ -235,7 +232,7 @@ def _verify_level_distance(shape, args, rng) -> dict:
     keep = signed_distance_many(shape, samples) > a
     residual = verify_level_distance(shape, a, samples[keep], spacing=args.spacing)
     return {"level": a, "n_samples": int(np.sum(keep)), "max_residual": residual,
-            "passed": residual <= 1e-4}
+            "passed": bool(residual <= 1e-4)}
 
 
 def _verify_chi(shape, args, rng) -> dict:
@@ -309,7 +306,7 @@ def _cmd_counterexample(args) -> int:
         rep = differentiability_test(spiral, (0.0, 0.0), h0=0.1, rho=0.5, k_max=20)
         decreasing = bool(np.all(np.diff(ev.measured_ratios) < 0))
         apex_ok = rep.estimates["gradient_norm"] <= 0.01
-        print(f"apex_gradient_norm,{_fmt(rep.estimates['gradient_norm'])}")
+        print("apex_gradient_norm," + csv_row([rep.estimates["gradient_norm"]]))
         ok = decreasing and apex_ok
         print("PASS" if ok else "FAIL")
         return 0 if ok else 1

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import csv_row
 from .errors import DistanceFieldError, TruncationExceeded
 from .projection import is_medial, signed_distance
 from .shapes import Cusp, Spiral
@@ -138,13 +139,6 @@ def evidence_to_csv(ev: SpiralEvidence) -> str:
     buf = io.StringIO()
     buf.write("theta,z_x,z_y,abs_z,bound,measured_ratio\n")
     for i in range(len(ev.thetas)):
-        cells = [
-            format(ev.thetas[i], ".17g"),
-            format(ev.points[i, 0], ".17g"),
-            format(ev.points[i, 1], ".17g"),
-            format(ev.abs_z[i], ".17g"),
-            format(ev.bounds[i], ".17g"),
-            format(ev.measured_ratios[i], ".17g"),
-        ]
-        buf.write(",".join(cells) + "\n")
+        buf.write(csv_row([ev.thetas[i], *ev.points[i], ev.abs_z[i], ev.bounds[i],
+                           ev.measured_ratios[i]]) + "\n")
     return buf.getvalue()

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._csv import csv_row
 from .errors import EmptyBand, InvalidSpec, InvalidTube, LevelOutOfRange
 from .projection import nearest_points, signed_distance_many
 from .shapes import Shape, as_points
@@ -398,20 +399,16 @@ def grid_error(field: GridField, shape: Shape, refined: GridField | None = None,
 # Serialization (17-significant-digit round-trip)
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
-
-
 def grid_to_csv(field: GridField) -> str:
     buf = io.StringIO()
     buf.write("dims," + ",".join(str(d) for d in field.spec.dims) + "\n")
-    buf.write("origin," + ",".join(_fmt(v) for v in field.spec.origin) + "\n")
-    buf.write("h," + _fmt(field.spec.h) + "\n")
+    buf.write("origin," + csv_row(field.spec.origin) + "\n")
+    buf.write("h," + csv_row([field.spec.h]) + "\n")
     buf.write("values\n")
     row = field.spec.dims[-1]
     flat = field.values
     for i in range(0, len(flat), row):
-        buf.write(",".join(_fmt(v) for v in flat[i : i + row]) + "\n")
+        buf.write(csv_row(flat[i : i + row]) + "\n")
     buf.write("frozen\n")
     fz = field.frozen.astype(int)
     for i in range(0, len(fz), row):

@@ -106,20 +106,11 @@ def gradient(shape: Shape, x, tol: float = DEFAULT_TOL) -> np.ndarray | None:
     inner unit normal at C^1 points, absent at corners.
     """
     x = as_point(x, shape.dim)
-    res = nearest_points(shape, x, tol)
-    if res.distance <= ON_BOUNDARY_TOL:
-        try:
-            return shape.inner_normal(x)
-        except (NotC1, NotOnBoundary):
-            return None
-    if res.multiplicity != 1:
-        return None
-    d = res.distance if shape.contains(x) else -res.distance
-    return (x - res.points[0]) / d
+    return gradient_from_result(shape, x, nearest_points(shape, x, tol))
 
 
 def gradient_from_result(shape: Shape, x: np.ndarray, res: ProjectionResult) -> np.ndarray | None:
-    """Gradient computed from an existing projection result (no re-query)."""
+    """``gradient`` at x from an existing projection result (no re-query)."""
     if res.distance <= ON_BOUNDARY_TOL:
         try:
             return shape.inner_normal(x)

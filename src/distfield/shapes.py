@@ -22,10 +22,19 @@ the scan + Newton engine of ``_minimize``:
 
 * disk rim (2-d) and ellipse -- one closed piece, window [0, 2 pi);
 * cusp -- two open branches (t^(1+alpha), +t) and (t^(1+alpha), -t), window
-  [0, t_cap(x)] with t_cap bounding |x2| plus an upper bound on the distance;
+  [0, t_cap(x)] with t_cap bounding |x2| plus an upper bound on the distance,
+  parameter range [0, inf);
 * spiral -- two open walls f(t) (cos t, sin t) and f(t + pi) (cos t, sin t),
-  three windows of width 2 pi around the windings nearest the query; the two
-  end caps are segments with closed-form feet.
+  three windows of width 2 pi around the windings nearest the query,
+  parameter range [theta_min, theta_max - pi]; the two end caps are segments
+  with closed-form feet and normals.
+
+The same description gives their boundary geometry.  A boundary point is
+located as the engine's nearest candidate (piece, t); the inner normal there
+is c'(t) turned a quarter turn, counter-clockwise on the disk rim, the
+ellipse, the cusp's lower branch and the spiral's outer wall, clockwise on the
+cusp's upper branch and the spiral's inner wall; a chi window is a parameter
+interval about t.  The ball, the half-space and the polygon keep closed forms.
 """
 
 from __future__ import annotations
@@ -90,11 +99,11 @@ class Candidates:
 class Shape:
     """Common interface of the domains.
 
-    Every shape implements ``contains``/``contains_many``, the boundary
-    sampling, ``inner_normal`` and ``boundary_window``.  A shape with a
-    closed-form projection overrides ``projection_candidates`` and
-    ``project_many``.  A curved planar shape instead describes its boundary
-    once and inherits both from the parametric engine:
+    Every shape implements ``contains``/``contains_many`` and the boundary
+    sampling.  A shape with a closed-form projection overrides
+    ``projection_candidates``, ``project_many``, ``inner_normal`` and
+    ``boundary_window``.  A curved planar shape instead describes its boundary
+    once and inherits all four from the parametric engine:
 
     * ``_curve(piece, t)`` returns ``(x, y, x', y', x'', y'')`` of the pieces
       ``piece`` (an integer array broadcasting against ``t``) at ``t``, and
@@ -105,19 +114,24 @@ class Shape:
       each query; a window with ``hi <= lo`` is empty;
     * ``_closed`` says whether the pieces are closed curves, scanned
       periodically, or open arcs whose window ends are candidates too;
+    * ``_range`` is the parameter range ``(lo, hi)`` of every open piece; a
+      closed piece spans one turn about any parameter;
+    * ``_orient[piece]`` is +1 where the inner normal is c'(t) turned a
+      quarter counter-clockwise, -1 where it is turned clockwise;
     * ``_scan`` is the number of scan samples per window.
     """
 
     dim: int = 2
     _closed = False
     _scan = SCAN_SAMPLES
+    _orient = np.array([1.0])
 
     # -- membership ---------------------------------------------------------
     def contains(self, x) -> bool:
         raise NotImplementedError
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        """Default (lo, hi) box around the shape, for grids that a scene leaves out."""
+        """Default cube (lo, hi) around the shape, for grids that a scene leaves out."""
         raise NotImplementedError
 
     # -- boundary -----------------------------------------------------------
@@ -127,21 +141,51 @@ class Shape:
     def boundary_sample_with_normals(self, spacing: float):
         raise NotImplementedError
 
-    def inner_normal(self, p) -> np.ndarray:
-        raise NotImplementedError
-
     def nonsmooth_boundary_points(self) -> np.ndarray:
         """Corner points where the boundary is not C^1 (empty for smooth shapes)."""
         return np.empty((0, self.dim))
 
+    def inner_normal(self, p) -> np.ndarray:
+        """Inner unit normal at the boundary point p (NotC1 at a corner, NotOnBoundary off it)."""
+        p = as_point(p, self.dim)
+        if self._at_corner(p):
+            raise NotC1(f"the boundary has a corner at {p.tolist()}")
+        return self._normals(*self._locate(p))
+
+    def _at_corner(self, p: np.ndarray) -> bool:
+        corners = self.nonsmooth_boundary_points()
+        return bool(len(corners)) and (
+            np.min(np.linalg.norm(corners - p, axis=1)) <= ON_BOUNDARY_TOL)
+
     def boundary_window(self, p, r: float, n: int):
-        """(points, normals) on the boundary within distance r of boundary point p."""
-        raise NotImplementedError
+        """(points, normals) on the boundary within distance r of boundary point p.
+
+        The half-width w of the parameter interval about p's parameter t0
+        starts at r / |c'(t0)| and grows by half until each end lies beyond r
+        or at the end of the piece's range; of 4n samples of the interval, those
+        within r are kept and strided down to about n.
+        """
+        p = as_point(p, self.dim)
+        piece, t0 = self._locate(p)
+        lo, hi = (t0 - math.pi, t0 + math.pi) if self._closed else self._range
+
+        def inside(t):
+            return lo < t < hi and np.linalg.norm(self._points(piece, t) - p) <= r
+
+        _, _, dx, dy, _, _ = self._curve(piece, t0)
+        w = r / math.hypot(dx, dy)
+        while inside(t0 - w) or inside(t0 + w):
+            w *= 1.5
+        ts = np.clip(t0 + np.linspace(-w, w, 4 * n), lo, hi)
+        keep = np.linalg.norm(self._points(piece, ts) - p, axis=1) <= r
+        ts = ts[keep][:: max(1, int(np.sum(keep)) // n)]
+        return self._points(piece, ts), self._normals(piece, ts)
 
     # -- projection support ---------------------------------------------------
     def projection_candidates(self, x, tol: float) -> Candidates:
         """Refined local minimizers and flat-stretch representatives of one query."""
-        return Candidates(*candidates(self, as_point(x, self.dim)))
+        d, points, _, _ = candidates(self, as_point(x, self.dim))
+        return Candidates(d, points)
 
     def project_many(self, pts) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized global nearest point: (distances (n,), points (n, m))."""
@@ -150,15 +194,24 @@ class Shape:
     def _points(self, piece, t) -> np.ndarray:
         return np.stack(self._curve(piece, t, derivs=False), axis=-1)
 
+    def _normals(self, piece, t) -> np.ndarray:
+        """Inner unit normals (..., 2) at the parameters t of the pieces."""
+        _, _, dx, dy, _, _ = self._curve(piece, t)
+        s = self._orient[piece] / np.hypot(dx, dy)
+        return np.stack([-dy * s, dx * s], axis=-1)
+
+    def _locate(self, p):
+        """(piece, t) of the boundary point p: the nearest candidate on the pieces."""
+        d, _, piece, t = candidates(self, p)
+        j = int(np.argmin(d))
+        if d[j] > ON_BOUNDARY_TOL:
+            raise NotOnBoundary(f"point {p.tolist()} is {d[j]:.3g} from the curved boundary")
+        return int(piece[j]), float(t[j])
+
     # -- probe admissibility ---------------------------------------------------
     def probe_scale_ok(self, p, h: float) -> bool:
         """Whether distance queries on the sphere of radius h around p are reliable."""
         return h >= 1e-12
-
-    def _check_on_boundary(self, p):
-        d, _ = self.project_many(p[None, :])
-        if d[0] > ON_BOUNDARY_TOL:
-            raise NotOnBoundary(f"point {p.tolist()} is {d[0]:.3g} from the boundary")
 
 
 # The window of a closed piece parametrized over one full turn.
@@ -268,16 +321,9 @@ class Disk(Shape):
         return np.abs(self.radius - s), proj
 
     def boundary_window(self, p, r: float, n: int):
-        p = as_point(p, self.dim)
         if self.dim != 2:
             raise NotImplementedError("boundary windows are planar only")
-        self._check_on_boundary(p)
-        v = p - self.center
-        base = math.atan2(v[1], v[0])
-        half = 2.0 * math.asin(min(1.0, r / (2.0 * self.radius)))
-        ang = base + np.linspace(-half, half, n)
-        rim = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-        return self.center + self.radius * rim, -rim
+        return super().boundary_window(p, r, n)
 
 
 # ---------------------------------------------------------------------------
@@ -448,12 +494,12 @@ class Polygon(Shape):
     def bbox(self):
         lo = self.vertices.min(axis=0)
         hi = self.vertices.max(axis=0)
-        pad = 0.5 * (hi - lo)
-        return lo - pad, hi + pad
+        mid, half = 0.5 * (lo + hi), float(np.max(hi - lo))
+        return mid - half, mid + half
 
     def inner_normal(self, p) -> np.ndarray:
         p = as_point(p, 2)
-        if np.min(np.linalg.norm(self.vertices - p, axis=1)) <= ON_BOUNDARY_TOL:
+        if self._at_corner(p):
             raise NotC1("polygon boundary has a corner at this point")
         a, b = self._edges()
         d, foot, _ = self._edge_feet(p[None, :])
@@ -548,11 +594,6 @@ class Ellipse(Shape):
     def _windows(self, pts):
         return _ONE_TURN
 
-    def _normal_at(self, ts: np.ndarray) -> np.ndarray:
-        a, b = self.semi_axes
-        g = np.stack([np.cos(ts) / a, np.sin(ts) / b], axis=-1)
-        return -g / np.linalg.norm(g, axis=-1, keepdims=True)
-
     def contains(self, x) -> bool:
         return float(self._implicit(as_point(x, 2)[None, :])[0]) < 0.0
 
@@ -563,38 +604,11 @@ class Ellipse(Shape):
         a = float(np.max(self.semi_axes))
         n = _spacing_count(2.0 * math.pi * a, spacing) - 1
         ts = 2.0 * math.pi * np.arange(n) / n
-        return self._points(0, ts), self._normal_at(ts)
+        return self._points(0, ts), self._normals(0, ts)
 
     def bbox(self):
-        return self.center - 2 * self.semi_axes, self.center + 2 * self.semi_axes
-
-    def inner_normal(self, p) -> np.ndarray:
-        p = as_point(p, 2)
-        self._check_on_boundary(p)
-        g = (p - self.center) / self.semi_axes**2
-        return -g / np.linalg.norm(g)
-
-    def _locate(self, p) -> float:
-        cand = self.projection_candidates(p, 1e-12)
-        j = int(np.argmin(cand.dists))
-        v = (cand.points[j] - self.center) / self.semi_axes
-        return math.atan2(v[1], v[0])
-
-    def boundary_window(self, p, r: float, n: int):
-        p = as_point(p, 2)
-        self._check_on_boundary(p)
-        t0 = self._locate(p)
-        w = r / float(np.max(self.semi_axes))
-        while w < math.pi and (
-            np.linalg.norm(self._points(0, t0 - w) - p) <= r
-            or np.linalg.norm(self._points(0, t0 + w) - p) <= r
-        ):
-            w *= 1.5
-        ts = t0 + np.linspace(-w, w, 4 * n)
-        pts = self._points(0, ts)
-        keep = np.linalg.norm(pts - p, axis=1) <= r
-        ts = ts[keep][:: max(1, int(np.sum(keep)) // n)]
-        return self._points(0, ts), self._normal_at(ts)
+        half = 2.0 * float(np.max(self.semi_axes))
+        return self.center - half, self.center + half
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +629,9 @@ class Cusp(Shape):
         object.__setattr__(self, "alpha", float(alpha))
         object.__setattr__(self, "extent", float(extent))
         object.__setattr__(self, "dim", 2)
+
+    _orient = np.array([-1.0, 1.0])
+    _range = (0.0, math.inf)
 
     def _curve(self, piece, t, derivs=True):
         # Branch 0 is (t^(1+a), t), branch 1 its mirror.  x'' blows up at the
@@ -652,40 +669,11 @@ class Cusp(Shape):
         ex = 1.0 + self.alpha
         up = np.stack([ts**ex, ts], axis=-1)
         dn = np.stack([ts[1:] ** ex, -ts[1:]], axis=-1)
-        slope = ex * ts**self.alpha
-        nrm = np.sqrt(1.0 + slope**2)
-        n_up = np.stack([np.ones_like(ts), -slope], axis=-1) / nrm[:, None]
-        n_dn = np.stack([np.ones_like(ts[1:]), slope[1:]], axis=-1) / nrm[1:, None]
-        return np.concatenate([up, dn]), np.concatenate([n_up, n_dn])
+        return (np.concatenate([up, dn]),
+                np.concatenate([self._normals(0, ts), self._normals(1, ts[1:])]))
 
     def bbox(self):
         return np.array([-0.5, -1.5]), np.array([2.5, 1.5])
-
-    def inner_normal(self, p) -> np.ndarray:
-        p = as_point(p, 2)
-        self._check_on_boundary(p)
-        ex = 1.0 + self.alpha
-        slope = ex * abs(p[1]) ** self.alpha * math.copysign(1.0, p[1]) if p[1] != 0 else 0.0
-        n = np.array([1.0, -slope])
-        return n / np.linalg.norm(n)
-
-    def boundary_window(self, p, r: float, n: int):
-        p = as_point(p, 2)
-        self._check_on_boundary(p)
-        t0 = abs(p[1])
-        lo = max(0.0, t0 - 2.0 * r)
-        ts = np.linspace(lo, t0 + 2.0 * r, 4 * n)
-        sign = math.copysign(1.0, p[1]) if p[1] != 0 else 1.0
-        piece = int(sign < 0)
-        pts = self._points(piece, ts)
-        keep = np.linalg.norm(pts - p, axis=1) <= r
-        ts = ts[keep][:: max(1, int(np.sum(keep)) // n)]
-        pts = self._points(piece, ts)
-        ex = 1.0 + self.alpha
-        slope = ex * ts**self.alpha * sign
-        nrm = np.sqrt(1.0 + slope**2)
-        normals = np.stack([np.ones_like(ts), -slope], axis=-1) / nrm[:, None]
-        return pts, normals
 
 
 # ---------------------------------------------------------------------------
@@ -768,6 +756,11 @@ class Spiral(Shape):
             )
 
     _scan = 512
+    _orient = np.array([1.0, -1.0])
+
+    @property
+    def _range(self):
+        return self.theta_min, self.theta_end
 
     def _curve(self, piece, t, derivs=True):
         # Piece 0 is the outer wall f(t) e(t), piece 1 the inner wall f(t + pi) e(t).
@@ -846,71 +839,37 @@ class Spiral(Shape):
             if ts[-1] < self.theta_end:
                 ts = np.append(ts, self.theta_end)
             pts.append(self._points(int(inner), ts))
-            normals.append(self._wall_normals(ts, inner))
+            normals.append(self._normals(int(inner), ts))
         for which in (0, 1):
             p0, p1 = self._cap_segment(which)
             n = _spacing_count(float(np.linalg.norm(p1 - p0)), spacing)
             ts = np.linspace(0.0, 1.0, n)
             seg = p0 + ts[:, None] * (p1 - p0)
-            ang = self.theta_min if which == 0 else self.theta_end
-            e_t = np.array([-math.sin(ang), math.cos(ang)])
-            inward = e_t if which == 0 else -e_t
             pts.append(seg)
-            normals.append(np.broadcast_to(inward, seg.shape).copy())
+            normals.append(np.broadcast_to(self._cap_normal(which), seg.shape).copy())
         return np.concatenate(pts), np.concatenate(normals)
 
-    def _wall_normals(self, thetas: np.ndarray, inner: bool) -> np.ndarray:
-        shift = math.pi if inner else 0.0
-        fv = self.f(thetas + shift)
-        fp = self.f_prime(thetas + shift)
-        e_r = np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
-        e_t = np.stack([-np.sin(thetas), np.cos(thetas)], axis=-1)
-        g = e_r - (fp / fv)[:, None] * e_t
-        g = g / np.linalg.norm(g, axis=1, keepdims=True)
-        return g if inner else -g
+    def _cap_normal(self, which: int) -> np.ndarray:
+        ang = self.theta_min if which == 0 else self.theta_end
+        return (1.0 - 2.0 * which) * np.array([-math.sin(ang), math.cos(ang)])
 
     def nonsmooth_boundary_points(self) -> np.ndarray:
         c0 = self._cap_segment(0)
         c1 = self._cap_segment(1)
         return np.stack([c0[0], c0[1], c1[0], c1[1]])
 
-    def _locate(self, p: np.ndarray):
-        """(piece, theta) of the boundary point p; piece in {outer, inner, cap0, cap1}.
-
-        theta is the wall parameter, and 0 on the caps.
-        """
-        r, thetas = self._windings(p[None, :])
-        best = (math.inf, None, 0.0)
-        for theta in thetas[0]:
-            if self.theta_min <= theta <= self.theta_end:
-                d_out = abs(r[0] - float(self.f(theta)))
-                d_in = abs(r[0] - float(self.f(theta + math.pi)))
-                if d_out < best[0]:
-                    best = (d_out, "outer", theta)
-                if d_in < best[0]:
-                    best = (d_in, "inner", theta)
-        cap_d, _ = self._cap_feet(p[None, :])
-        for which, piece in ((0, "cap0"), (1, "cap1")):
-            if cap_d[0, which] < best[0]:
-                best = (cap_d[0, which], piece, 0.0)
-        if best[0] > ON_BOUNDARY_TOL:
-            raise NotOnBoundary("point is not on the spiral boundary")
-        return best[1], best[2]
-
     def bbox(self):
         r = float(self.f(self.theta_min)) * 1.2
         return np.array([-r, -r]), np.array([r, r])
 
     def inner_normal(self, p) -> np.ndarray:
+        # The end caps are segments, not pieces of the engine.
         p = as_point(p, 2)
-        if np.min(np.linalg.norm(self.nonsmooth_boundary_points() - p, axis=1)) <= ON_BOUNDARY_TOL:
-            raise NotC1("spiral cap corner")
-        piece, t = self._locate(p)
-        if piece in ("outer", "inner"):
-            return self._wall_normals(np.array([t]), piece == "inner")[0]
-        ang = self.theta_min if piece == "cap0" else self.theta_end
-        e_t = np.array([-math.sin(ang), math.cos(ang)])
-        return e_t if piece == "cap0" else -e_t
+        cap_d, _ = self._cap_feet(p[None, :])
+        which = int(np.argmin(cap_d[0]))
+        if cap_d[0, which] > ON_BOUNDARY_TOL or self._at_corner(p):
+            return super().inner_normal(p)
+        return self._cap_normal(which)
 
     def projection_candidates(self, x, tol: float) -> Candidates:
         x = as_point(x, 2)
@@ -939,28 +898,6 @@ class Spiral(Shape):
             return False
         min_radius = abs(float(np.linalg.norm(p)) - h)
         return min_radius >= self.safe_radius
-
-    def boundary_window(self, p, r: float, n: int):
-        p = as_point(p, 2)
-        piece, t0 = self._locate(p)
-        if piece not in ("outer", "inner"):
-            raise NotC1("chi windows on cap segments are not supported")
-        inner = piece == "inner"
-        shift = math.pi if inner else 0.0
-        speed = math.hypot(float(self.f_prime(t0 + shift)), float(self.f(t0 + shift)))
-        w = r / speed
-        while (
-            np.linalg.norm(self._points(int(inner), max(self.theta_min, t0 - w)) - p) <= r
-            or np.linalg.norm(self._points(int(inner), min(self.theta_end, t0 + w)) - p) <= r
-        ):
-            w *= 1.5
-            if t0 - w < self.theta_min and t0 + w > self.theta_end:
-                break
-        ts = np.clip(t0 + np.linspace(-w, w, 4 * n), self.theta_min, self.theta_end)
-        pts = self._points(int(inner), ts)
-        keep = np.linalg.norm(pts - p, axis=1) <= r
-        ts = ts[keep][:: max(1, int(np.sum(keep)) // n)]
-        return self._points(int(inner), ts), self._wall_normals(ts, inner)
 
 
 # ---------------------------------------------------------------------------

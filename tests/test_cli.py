@@ -99,6 +99,26 @@ def test_verify_lipschitz(disk_scene, capsys):
     assert report["lipschitz"] <= report["bound"]
 
 
+@pytest.mark.parametrize("spec", [
+    {"type": "ellipse", "semi_axes": [2.0, 1.0]},
+    {"type": "polygon", "vertices": [[0, 0], [2, 0], [2, 1], [0, 1]]},
+], ids=["ellipse", "rectangle"])
+@pytest.mark.parametrize("command", [["fmm"], ["grid"], ["levelset", "--level", "0.2"],
+                                     ["medial"]], ids=lambda c: c[0])
+def test_default_box_scenes_run(spec, command, tmp_path, capsys):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"shape": spec}))
+    out = tmp_path / "out.csv"
+    assert main([*command, "--scene", str(path), "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) > 1
+
+
+def test_verify_level_distance_report(disk_scene, capsys):
+    assert main(["verify", "level-distance", "--scene", disk_scene]) == 0
+    report = json.loads(capsys.readouterr().out.strip())
+    assert report["passed"] is True and report["max_residual"] <= 1e-4
+
+
 def test_verify_failure_exits_one(tmp_path, capsys):
     # chi blows up approaching the cusp apex, so the stability check must fail
     scene = {"shape": {"type": "cusp", "alpha": 0.5}}

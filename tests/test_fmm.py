@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distfield import fmm
 from distfield import (
@@ -174,6 +176,31 @@ def test_grid_csv_round_trip(unit_disk):
     assert again.spec.h == field.spec.h
     assert np.array_equal(again.values, field.values)
     assert np.array_equal(again.frozen, field.frozen)
+
+
+def _csv_text_round_trips(origin, h, dims, values, frozen):
+    field = GridField(GridSpec(origin, h, dims), np.array(values, dtype=float),
+                      np.array(frozen, dtype=bool))
+    text = grid_to_csv(field)
+    assert grid_to_csv(grid_from_csv(text)) == text
+
+
+def test_grid_csv_text_round_trips_special_values():
+    _csv_text_round_trips([-0.0, 1.5], 0.1, (2, 3),
+                          [math.inf, -math.inf, -0.0, 0.0, 5e-324, 0.1], [1, 0, 1, 0, 0, 1])
+
+
+_csv_values = st.one_of(st.floats(allow_nan=False), st.sampled_from([math.inf, -math.inf, -0.0]))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data(), st.sampled_from([(3, 4), (2, 5), (2, 3, 4), (3, 2, 2)]))
+def test_grid_csv_text_round_trips_byte_for_byte(data, dims):
+    n, m = math.prod(dims), len(dims)
+    _csv_text_round_trips(data.draw(st.lists(st.floats(-1e6, 1e6), min_size=m, max_size=m)),
+                          data.draw(st.floats(1e-9, 1e3)), dims,
+                          data.draw(st.lists(_csv_values, min_size=n, max_size=n)),
+                          data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
 
 
 def test_grid_csv_rejects_truncated_sections(unit_disk):

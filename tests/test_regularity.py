@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from distfield import (
+    Disk,
+    Ellipse,
     MedialInBall,
     NotC1InNeighborhood,
     PreconditionViolated,
@@ -107,6 +109,27 @@ def test_chi_tail_variation_small(ellipse21):
     rep = chi_estimate(ellipse21, (0.0, 1.0), [3e-2, 1e-2, 3e-3, 1e-3])
     tail = rep.residuals[1:]
     assert (np.max(tail) - np.min(tail)) <= 0.1 * np.max(tail)
+
+
+_SPIRAL = Spiral(beta=1.0)
+_WALL = np.array([math.cos(3.0), math.sin(3.0)])
+
+
+# Values of the closed-form windows and normals that the disk, the ellipse and
+# the spiral carried before both came from the curve description.
+@pytest.mark.parametrize("shape, point, radii, expected", [
+    (Disk((0.0, 0.0), 1.0), (1.0, 0.0), [0.5, 0.1, 0.01, 1e-3], [1.0, 1.0, 1.0, 1.0]),
+    (Ellipse((2.0, 1.0)), (0.0, 1.0), [1e-1, 1e-2, 1e-3],
+     [0.25067955035058626, 0.25000678570120893, 0.2500000678560318]),
+    (Ellipse((2.0, 1.0)), (2.0, 0.0), [1e-2, 1e-3], [1.9999999474480992, 1.9999999994744813]),
+    (_SPIRAL, 0.25 * _WALL, [1e-1, 1e-2, 1e-3],
+     [4.084140116904117, 3.6927403944818007, 3.6563469038127687]),
+    (_SPIRAL, float(_SPIRAL.f(3.0 + math.pi)) * _WALL, [1e-1, 1e-2, 1e-3],
+     [7.69984100654462, 7.007093099420937, 6.943639997042168]),
+], ids=["disk", "ellipse-minor", "ellipse-major", "spiral-outer", "spiral-inner"])
+def test_chi_estimate_pinned(shape, point, radii, expected):
+    rep = chi_estimate(shape, point, radii)
+    np.testing.assert_allclose(rep.residuals, expected, rtol=1e-7, atol=0)
 
 
 def test_chi_rejects_corner_in_window(unit_square):

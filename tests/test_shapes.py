@@ -12,6 +12,7 @@ from distfield import (
     Disk,
     DimensionMismatch,
     Ellipse,
+    GridSpec,
     HalfSpace,
     InvalidSpec,
     NotC1,
@@ -237,7 +238,157 @@ def test_disk_project_many_at_center_returns_rim_point(center):
 def test_bbox_holds_interior_and_exterior_nodes(shape):
     lo, hi = shape.bbox()
     assert lo.shape == hi.shape == (shape.dim,) and np.all(lo < hi)
+    assert GridSpec.from_bbox(lo, hi, 64).dims == (65,) * shape.dim
     axes = [np.linspace(a, b, 17) for a, b in zip(lo, hi)]
     nodes = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
     inside = shape.contains_many(nodes)
     assert np.any(inside) and not np.all(inside)
+
+
+def test_bbox_cube_holds_the_padded_box():
+    ellipse = Ellipse((2.0, 1.0), (0.5, -0.25))
+    lo, hi = ellipse.bbox()
+    assert np.all(lo <= ellipse.center - 2 * ellipse.semi_axes)
+    assert np.all(hi >= ellipse.center + 2 * ellipse.semi_axes)
+    rect = Polygon([(0, 0), (2, 0), (2, 1), (0, 1)])
+    lo, hi = rect.bbox()
+    assert np.allclose(lo, (-1.0, -1.5)) and np.allclose(hi, (3.0, 2.5))
+
+
+# -- boundary geometry of the parametric shapes ---------------------------------
+#
+# References: the closed-form inner normals that each shape carried before its
+# normals were derived from the curve description.
+
+def _ellipse_reference(ellipse, p):
+    g = (p - ellipse.center) / ellipse.semi_axes**2
+    return -g / np.linalg.norm(g)
+
+
+def _cusp_reference(cusp, p):
+    ex = 1.0 + cusp.alpha
+    slope = ex * abs(p[1]) ** cusp.alpha * math.copysign(1.0, p[1]) if p[1] != 0 else 0.0
+    n = np.array([1.0, -slope])
+    return n / np.linalg.norm(n)
+
+
+def _spiral_reference(spiral, theta, inner):
+    shift = math.pi if inner else 0.0
+    fv, fp = spiral.f(theta + shift), spiral.f_prime(theta + shift)
+    e_r = np.array([math.cos(theta), math.sin(theta)])
+    e_t = np.array([-math.sin(theta), math.cos(theta)])
+    g = e_r - (fp / fv) * e_t
+    g = g / np.linalg.norm(g)
+    return g if inner else -g
+
+
+def _boundary_point(shape, piece, t):
+    """(point, tangent c'(t)) of the test shapes' boundary parametrisations."""
+    c, s = math.cos(t), math.sin(t)
+    if isinstance(shape, Disk):
+        r = shape.radius
+        return shape.center + r * np.array([c, s]), r * np.array([-s, c])
+    if isinstance(shape, Ellipse):
+        a, b = shape.semi_axes
+        return shape.center + np.array([a * c, b * s]), np.array([-a * s, b * c])
+    if isinstance(shape, Cusp):
+        sign, ex = 1.0 - 2.0 * piece, 1.0 + shape.alpha
+        return np.array([t**ex, sign * t]), np.array([ex * t**shape.alpha, sign])
+    th = t + math.pi * piece
+    f, fp = float(shape.f(th)), float(shape.f_prime(th))
+    return f * np.array([c, s]), fp * np.array([c, s]) + f * np.array([-s, c])
+
+
+def test_sampler_normals_match_the_closed_forms(cusp_half):
+    ellipse = Ellipse((2.0, 0.5), (0.3, -0.1))
+    pts, normals = ellipse.boundary_sample_with_normals(0.05)
+    ref = np.array([_ellipse_reference(ellipse, p) for p in pts])
+    assert np.max(np.abs(normals - ref)) <= 1e-12
+    pts, normals = cusp_half.boundary_sample_with_normals(0.05)
+    ref = np.array([_cusp_reference(cusp_half, p) for p in pts])
+    assert np.max(np.abs(normals - ref)) <= 1e-12
+    spiral = Spiral(beta=1.0, theta_max=12.0 * math.pi)
+    pts, normals = spiral.boundary_sample_with_normals(0.01)
+    checked = 0
+    for p, n in zip(pts, normals):
+        theta = float(spiral.f_inv(np.linalg.norm(p)))
+        for inner, t in ((False, theta), (True, theta - math.pi)):
+            on_wall = spiral.theta_min < t < spiral.theta_end and np.allclose(
+                _boundary_point(spiral, int(inner), t)[0], p, rtol=0, atol=1e-12)
+            if on_wall:
+                assert np.max(np.abs(n - _spiral_reference(spiral, t, inner))) <= 1e-12
+                checked += 1
+                break
+        else:  # a cap point: on the ray at theta_min or theta_end
+            assert min(abs(p[0] * math.sin(a) - p[1] * math.cos(a))
+                       for a in (spiral.theta_min, spiral.theta_end)) <= 1e-12
+    assert checked >= 0.8 * len(pts)
+
+
+def test_inner_normal_matches_the_closed_forms(ellipse21, cusp_half, spiral_pow):
+    for t in np.linspace(0.0, 2.0 * math.pi, 23):
+        p, _ = _boundary_point(ellipse21, 0, t)
+        assert np.max(np.abs(ellipse21.inner_normal(p) - _ellipse_reference(ellipse21, p))) <= 1e-12
+    for piece in (0, 1):
+        for t in np.linspace(0.0, 3.0, 13):
+            p, _ = _boundary_point(cusp_half, piece, t)
+            assert np.max(np.abs(cusp_half.inner_normal(p) - _cusp_reference(cusp_half, p))) <= 1e-12
+        for t in np.linspace(0.5, 30.0, 13):
+            p, _ = _boundary_point(spiral_pow, piece, t)
+            ref = _spiral_reference(spiral_pow, t, bool(piece))
+            assert np.max(np.abs(spiral_pow.inner_normal(p) - ref)) <= 1e-12
+
+
+def test_spiral_cap_normals():
+    spiral = Spiral(beta=1.0, theta_max=12.0 * math.pi)
+    for which, ang in ((0, spiral.theta_min), (1, spiral.theta_end)):
+        r = 0.5 * (spiral.f(ang) + spiral.f(ang + math.pi))
+        n = spiral.inner_normal(r * np.array([math.cos(ang), math.sin(ang)]))
+        e_t = np.array([-math.sin(ang), math.cos(ang)])
+        assert np.allclose(n, e_t if which == 0 else -e_t, rtol=0, atol=1e-15)
+
+
+_curved = st.one_of(
+    st.tuples(st.builds(Disk, st.tuples(_finite, _finite), st.floats(0.1, 3.0)),
+              st.just(0), st.floats(0.0, 2.0 * math.pi)),
+    st.tuples(st.builds(Ellipse, st.tuples(st.floats(0.2, 3.0), st.floats(0.2, 3.0)),
+                        st.tuples(_finite, _finite)),
+              st.just(0), st.floats(0.0, 2.0 * math.pi)),
+    st.tuples(st.builds(Cusp, st.floats(0.1, 0.9)), st.integers(0, 1), st.floats(0.0, 2.0)),
+    st.tuples(st.builds(lambda b, w: Spiral(beta=b, theta_max=20.0 * math.pi, wall=w),
+                        st.floats(0.2, 1.0), st.sampled_from(["power", "exp"])),
+              st.integers(0, 1), st.floats(1.0, 4.0 * math.pi)),
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(_curved, st.floats(1e-3, 0.05), st.integers(4, 16))
+@example((Disk((0.0, 0.0), 1.0), 0, 0.0), 0.05, 8)
+@example((Cusp(0.5), 0, 0.0), 0.05, 8)
+def test_boundary_geometry_of_curved_shapes(case, rel_r, n):
+    shape, piece, t = case
+    p, tangent = _boundary_point(shape, piece, t)
+    normal = shape.inner_normal(p)
+    assert abs(np.linalg.norm(normal) - 1.0) <= 1e-12
+    assert abs(normal @ tangent) <= 1e-8 * np.linalg.norm(tangent)
+    scale = np.linalg.norm(p) if isinstance(shape, Spiral) else 1.0
+    assert shape.contains(p + 1e-4 * scale * normal)
+    r = rel_r * scale
+    pts, normals = shape.boundary_window(p, r, n)
+    assert len(pts) >= n
+    assert np.max(np.linalg.norm(pts - p, axis=1)) <= r
+    d, _ = shape.project_many(pts)
+    assert np.max(d) <= 1e-12 * max(1.0, scale)
+    for q, m in zip(pts, normals):
+        assert np.max(np.abs(shape.inner_normal(q) - m)) <= 1e-9
+
+
+def test_boundary_window_stops_at_the_end_of_an_open_piece():
+    spiral = Spiral(beta=1.0, theta_max=6.0 * math.pi)
+    for piece in (0, 1):
+        p, _ = _boundary_point(spiral, piece, spiral.theta_end - 0.01)
+        pts, _ = spiral.boundary_window(p, 0.05, 16)
+        d, _ = spiral.project_many(pts)
+        assert np.max(d) <= 1e-15
+        assert np.min(np.linalg.norm(pts - _boundary_point(spiral, piece, spiral.theta_end)[0],
+                                     axis=1)) <= 1e-15
