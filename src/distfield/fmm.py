@@ -1,15 +1,20 @@
 """First-order fast marching for |grad u| = 1 with u = 0 on the boundary.
 
-The solver freezes every grid node within two spacings of the boundary to its
-exact signed distance, then fills each sign region independently with the
-standard upwind quadratic update driven by a min-heap narrow band, and merges
-the two regions with the inside-positive sign convention.  The march runs on
-the grid padded by one dead node per side, so every neighbour is a fixed index
-offset.  Level sets are extracted with linear interpolation along cell edges
-(marching squares); the cells are classified with numpy and only the active
-ones, whose corners straddle the level, are visited.  The distance-to-level-set
-identity dist(y, S_a) = u(y) - a can be verified against a dense sampling of
-the analytic level set."""
+The solver freezes every grid node within band_width spacings of the boundary
+to its exact signed distance, then fills each sign region independently with
+the standard upwind quadratic update driven by a min-heap narrow band, and
+merges the two regions with the inside-positive sign convention.  The exact
+distance is evaluated only where the band cannot be ruled out: |d| is
+1-Lipschitz, so its value at a node c of a coarse subgrid bounds it below at
+every nearby node x by |d(c)| - |x - c|, and a node whose bound clears the
+band is never evaluated; every node still gets its sign from membership.  The
+bound holds exactly, so the frozen band and its values are those of a full
+evaluation.  The march runs on the grid padded by one dead node per side, so
+every neighbour is a fixed index offset.  Level sets are extracted with linear
+interpolation along cell edges (marching squares); the cells are classified
+with numpy and only the active ones, whose corners straddle the level, are
+visited.  The distance-to-level-set identity dist(y, S_a) = u(y) - a can be
+verified against a dense sampling of the analytic level set."""
 
 from __future__ import annotations
 
@@ -25,6 +30,13 @@ from ._csv import csv_row
 from .errors import EmptyBand, InvalidSpec, InvalidTube, LevelOutOfRange
 from .projection import nearest_points, signed_distance_many
 from .shapes import Shape, as_points
+
+# Node stride of the subgrid on which solve_fmm evaluates the exact distance
+# everywhere; the last node of each axis belongs to the subgrid too.
+CULL_STRIDE = 8
+# Relative slack of the Lipschitz cull, covering rounding in the distances
+# and node coordinates; it can only add evaluated nodes.
+CULL_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -169,16 +181,48 @@ def _march_region(dims, h: float, alive: np.ndarray, seed_idx: np.ndarray,
     return np.asarray(done)[where], out_of_order
 
 
+def _band_distance(shape: Shape, grid: GridSpec, band_width: float) -> np.ndarray:
+    """Signed distance on every node that may lie in the band, +-inf elsewhere.
+
+    Signs come from membership of all nodes.  |d| is evaluated on the stride
+    CULL_STRIDE subgrid, then at each other node x whose nearest subgrid node
+    c (per axis) leaves |d(c)| - |x - c| within the band.  A node left out has
+    |d(x)| >= |d(c)| - |x - c| beyond the band, so it keeps its sign with an
+    infinite magnitude.
+    """
+    nodes = grid.nodes()
+    sign = np.where(shape.contains_many(nodes), 1.0, -1.0)
+    near = []
+    for n in grid.dims:
+        i = np.arange(n)
+        lo = i - i % CULL_STRIDE
+        hi = np.minimum(lo + CULL_STRIDE, n - 1)
+        near.append(np.where(i - lo <= hi - i, lo, hi))
+    offset = np.meshgrid(*(np.arange(n) - c for n, c in zip(grid.dims, near)), indexing="ij")
+    gap = grid.h * np.sqrt(sum(o.ravel() ** 2 for o in offset))
+    c = np.ravel_multi_index(np.meshgrid(*near, indexing="ij"), grid.dims).ravel()
+    mag = np.full(grid.n_nodes, np.inf)
+    sub = np.nonzero(gap == 0.0)[0]
+    mag[sub], _ = shape.project_many(nodes[sub])
+    d_c = mag[c]
+    slack = CULL_SLACK * (d_c + np.max(np.abs(nodes)))
+    rest = np.nonzero((gap > 0.0) & (d_c - gap <= band_width * grid.h + slack))[0]
+    if len(rest):
+        mag[rest], _ = shape.project_many(nodes[rest])
+    return sign * mag
+
+
 def solve_fmm(shape: Shape, grid: GridSpec, band_width: float = 2.0) -> GridField:
     """Grid signed-distance approximation by first-order fast marching.
 
     Nodes within band_width * h of the boundary are frozen to exact signed
-    distance; the inside and outside regions are then solved independently on
-    the unsigned distance and sign-merged.  Raises EmptyBand when no node lies
-    in the initialization band.
+    distance; the exact distance is evaluated only at the nodes that the
+    1-Lipschitz bound from a coarse subgrid cannot place outside that band
+    (see ``_band_distance``).  The inside and outside regions are then solved
+    independently on the unsigned distance and sign-merged.  Raises EmptyBand
+    when no node lies in the initialization band.
     """
-    nodes = grid.nodes()
-    sd = signed_distance_many(shape, nodes)
+    sd = _band_distance(shape, grid, band_width)
     inside = sd > 0.0
     frozen = np.abs(sd) <= band_width * grid.h
     if not np.any(frozen):

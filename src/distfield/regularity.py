@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    DistanceFieldError,
     MedialInBall,
     NotC1InNeighborhood,
     PreconditionViolated,
@@ -230,7 +231,7 @@ def _chi_reference(shape: Shape, p: np.ndarray, r: float) -> float:
     try:
         rep = chi_estimate(shape, p, [min(r, 1e-3)], n_window=48)
         return rep.estimates["chi"]
-    except Exception:
+    except DistanceFieldError:
         return math.nan
 
 

@@ -321,9 +321,23 @@ class Disk(Shape):
         return np.abs(self.radius - s), proj
 
     def boundary_window(self, p, r: float, n: int):
-        if self.dim != 2:
-            raise NotImplementedError("boundary windows are planar only")
-        return super().boundary_window(p, r, n)
+        if self.dim == 2:
+            return super().boundary_window(p, r, n)
+        # The spherical cap of points within r of p: polar angles up to the
+        # cap's, at equal-area radii, golden-angle azimuths about the axis.
+        u = -self.inner_normal(p)
+        e1 = np.cross(u, [1.0, 0.0, 0.0] if abs(u[0]) < 0.9 else [0.0, 1.0, 0.0])
+        e1 /= np.linalg.norm(e1)
+        e2 = np.cross(u, e1)
+        cap = 2.0 * math.asin(min(1.0, 0.5 * r / self.radius))
+        k = np.arange(n)
+        phi = cap * np.sqrt(k / max(n - 1, 1))
+        az = math.pi * (3.0 - math.sqrt(5.0)) * k
+        rim = (np.cos(phi)[:, None] * u
+               + np.sin(phi)[:, None] * (np.cos(az)[:, None] * e1 + np.sin(az)[:, None] * e2))
+        pts = self.center + self.radius * rim
+        keep = np.linalg.norm(pts - p, axis=1) <= r
+        return pts[keep], -rim[keep]
 
 
 # ---------------------------------------------------------------------------

@@ -91,6 +91,34 @@ def test_verify_c1_halfspace(halfspace_scene, capsys):
     assert report["estimates"]["c1_ratio"] <= 1e-12
 
 
+def test_verify_c1_ball(tmp_path, capsys):
+    # The ball's chi window is a spherical cap, so its chi/2 reference is finite.
+    path = tmp_path / "ball.json"
+    path.write_text(json.dumps({"shape": {"type": "disk", "center": [0.0, 0.0, 0.0],
+                                          "radius": 1.0}}))
+    assert main(["verify", "c1", "--scene", str(path), "--point", "1,0,0", "--n", "50"]) == 0
+    report = json.loads(capsys.readouterr().out.strip())
+    assert report["estimates"]["chi_half_reference"] == pytest.approx(0.5, abs=1e-9)
+    assert report["passed"] is True
+
+
+@pytest.mark.parametrize("spec,skipped,codes", [
+    ({"type": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}, 4, (0,)),
+    # Channel samples near the apex are narrower than the finest probe scale.
+    ({"type": "spiral", "beta": 1.0}, 2, (0, 1)),
+    # Every sample is a vertex: nothing is checked, so nothing passes.
+    ({"type": "polygon", "vertices": [[0, 0], [0.3, 0], [0, 0.3]]}, 8, (1,)),
+], ids=["square", "spiral", "small-triangle"])
+def test_verify_boundary_gradient_skips_corners(spec, skipped, codes, tmp_path, capsys):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"shape": spec}))
+    rc = main(["verify", "boundary-gradient", "--scene", str(path)])
+    report = json.loads(capsys.readouterr().out.strip())
+    assert rc in codes and rc == (0 if report["passed"] else 1)
+    assert report["n_skipped"] == skipped
+    assert report["n_points"] + report["n_skipped"] == 8
+
+
 def test_verify_lipschitz(disk_scene, capsys):
     rc = main(["verify", "lipschitz", "--scene", disk_scene, "--n", "1000",
                "--dmax", "0.9"])

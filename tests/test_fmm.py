@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 from distfield import fmm
 from distfield import (
     Disk,
+    Ellipse,
     EmptyBand,
     GridField,
     GridSpec,
     InvalidSpec,
     InvalidTube,
     LevelOutOfRange,
+    Shape,
+    TruncationExceeded,
     extract_level_set,
     grid_error,
     grid_from_csv,
@@ -454,20 +457,99 @@ def _assert_same_chains(field, level):
     return chains
 
 
-@pytest.mark.parametrize("case", ["disk", "ball", "square", "halfspace", "ellipse"])
-def test_fmm_bit_identical_to_reference(case, unit_square, halfspace_x, ellipse21):
+@pytest.mark.parametrize("case,band_width", [
+    *(pytest.param(c, 2.0, id=c)
+      for c in ("disk", "ball", "square", "halfspace", "ellipse", "cusp", "spiral")),
+    *(pytest.param(c, w, id=f"{c}-band{w:g}") for c in ("disk", "ellipse") for w in (0.5, 5.0)),
+])
+def test_fmm_bit_identical_to_reference(case, band_width, unit_square, halfspace_x,
+                                        ellipse21, cusp_half, spiral_pow):
     shape, lo, hi, n = {
         "disk": (Disk((0.013, -0.021), 0.97), (-1.5, -1.5), (1.5, 1.5), 96),
         "ball": (Disk((0.01, 0.02, -0.03), 1.0), (-1.5,) * 3, (1.5,) * 3, 20),
         "square": (unit_square, (-1.5, -1.5), (1.5, 1.5), 64),
         "halfspace": (halfspace_x, (-1, -1), (1, 1), 48),
         "ellipse": (ellipse21, (-2.5, -2.5), (2.5, 2.5), 72),
+        "cusp": (cusp_half, (-0.5, -1.5), (2.5, 1.5), 72),
+        # An odd cell count keeps every node off the truncation zone at the apex.
+        "spiral": (spiral_pow, (-1.2, -1.2), (1.2, 1.2), 63),
     }[case]
     grid = GridSpec.from_bbox(lo, hi, n)
-    field = solve_fmm(shape, grid)
-    values, frozen = _ref_solve_fmm(shape, grid)
+    field = solve_fmm(shape, grid, band_width)
+    values, frozen = _ref_solve_fmm(shape, grid, band_width)
     assert np.array_equal(field.values, values)
     assert np.array_equal(field.frozen, frozen)
+
+
+def _count_projected_points(monkeypatch, cls):
+    """Record the number of rows of every ``cls.project_many`` call."""
+    calls = []
+    original = cls.project_many
+
+    def counted(self, pts):
+        calls.append(len(pts))
+        return original(self, pts)
+
+    monkeypatch.setattr(cls, "project_many", counted)
+    return calls
+
+
+def test_fmm_evaluates_the_band_only(monkeypatch, ellipse21):
+    # 1152 of 5329 nodes are evaluated for 342 frozen ones; the full
+    # evaluation took all 5329.
+    grid = GridSpec.from_bbox((-4, -4), (4, 4), 72)
+    calls = _count_projected_points(monkeypatch, Shape)
+    field = solve_fmm(ellipse21, grid)
+    assert calls[0] == 10 * 10  # the stride-8 subgrid, last index included
+    assert sum(calls) <= 4 * int(np.sum(field.frozen))
+    assert sum(calls) < grid.n_nodes // 4
+
+
+def test_fmm_grids_with_fewer_nodes_than_the_stride(monkeypatch, unit_disk):
+    # Two nodes per axis are all subgrid nodes: one evaluation, nothing left.
+    grid = GridSpec((0.5, 0.5), 1.0, (2, 2))
+    calls = _count_projected_points(monkeypatch, Disk)
+    field = solve_fmm(unit_disk, grid)
+    assert calls == [4]
+    values, frozen = _ref_solve_fmm(unit_disk, grid)
+    assert np.array_equal(field.values, values) and np.array_equal(field.frozen, frozen)
+    # Fewer nodes per axis than the stride: only the ends are on the subgrid.
+    grid = GridSpec((-1.3, -1.1), 0.45, (6, 7))
+    field = solve_fmm(unit_disk, grid)
+    values, frozen = _ref_solve_fmm(unit_disk, grid)
+    assert np.array_equal(field.values, values) and np.array_equal(field.frozen, frozen)
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    st.booleans(),
+    st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)),
+    st.tuples(st.floats(0.3, 1.5), st.floats(0.3, 1.5)),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    st.integers(8, 80),
+    st.sampled_from([0.5, 2.0, 5.0]),
+)
+def test_fmm_culled_init_matches_full_evaluation(ellipse, center, axes, shift, n, band_width):
+    shape = Ellipse(axes, center) if ellipse else Disk(center, axes[0])
+    h = 4.0 / n
+    grid = GridSpec(np.array([-2.0, -2.0]) + h * np.asarray(shift), h, (n + 1, n + 1))
+    values, frozen = _ref_solve_fmm(shape, grid, band_width)
+    if not frozen.any():
+        with pytest.raises(EmptyBand):
+            solve_fmm(shape, grid, band_width)
+        return
+    field = solve_fmm(shape, grid, band_width)
+    assert np.array_equal(field.values, values)
+    assert np.array_equal(field.frozen, frozen)
+
+
+def test_fmm_spiral_truncation_zone_still_raises(spiral_pow):
+    # Node (5, 5) sits at radius 2e-4, inside the truncation zone and off the
+    # subgrid; membership of every node still meets it.
+    h = 0.0625
+    grid = GridSpec((2e-4 - 5 * h, -5 * h), h, (17, 17))
+    with pytest.raises(TruncationExceeded):
+        solve_fmm(spiral_pow, grid)
 
 
 def test_march_with_unreachable_nodes_matches_reference():

@@ -91,6 +91,24 @@ def test_chi_disk_is_one(unit_disk):
     assert np.max(np.abs(rep.residuals - 1.0)) <= 1e-9
 
 
+@pytest.mark.parametrize("center,radius,direction", [
+    ((0.0, 0.0, 0.0), 1.0, (1.0, 0.0, 0.0)),
+    ((0.1, -0.2, 0.3), 2.5, (0.6, 0.0, 0.8)),
+    ((1.0, 2.0, -1.0), 0.4, (-1.0, 2.0, 2.0)),
+])
+def test_chi_ball_is_one_over_radius(center, radius, direction):
+    ball = Disk(center, radius)
+    u = np.asarray(direction) / np.linalg.norm(direction)
+    p = np.asarray(center) + radius * u
+    rep = chi_estimate(ball, p, [0.5, 0.1, 0.01, 1e-3])
+    assert np.max(np.abs(rep.residuals - 1.0 / radius)) <= 1e-9
+    pts, normals = ball.boundary_window(p, 0.1, 48)
+    assert len(pts) >= 40
+    assert np.all(np.linalg.norm(pts - p, axis=1) <= 0.1)
+    assert np.allclose(np.linalg.norm(pts - ball.center, axis=1), radius, atol=1e-12)
+    assert np.allclose(normals, (ball.center - pts) / radius, atol=1e-12)
+
+
 def test_chi_halfspace_is_zero(halfspace_x):
     rep = chi_estimate(halfspace_x, (0.0, 0.3), [0.5, 0.1])
     assert np.max(rep.residuals) == 0.0
