@@ -29,6 +29,7 @@ from .projection import (
     gradient_many,
     is_medial,
     nearest_points,
+    nearest_points_many,
     signed_distance,
     signed_distance_many,
 )

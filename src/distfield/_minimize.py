@@ -2,13 +2,19 @@
 
 A curved shape describes its boundary once, by ``_curve``, ``_windows``,
 ``_closed`` and ``_scan`` (the contract is in the ``Shape`` docstring).
-Every window is scanned at ``shape._scan`` samples, in blocks of CHUNK
-queries, and each seed is refined by a Newton iteration on the stationarity
-function g(t) = (c(t) - x) . c'(t), kept inside the bracket of the seed's scan
-neighbours.  ``project`` refines the scan argmin of every window (the global
-nearest point per query); ``candidates`` refines every local scan minimum of
-one query and reports each candidate's piece and parameter, so that locating a
-boundary point on the pieces is its argmin.
+Every window of every query is scanned at ``shape._scan`` samples, in blocks
+of at most CHUNK queries, and the seeds are refined together by a Newton
+iteration on the stationarity function g(t) = (c(t) - x) . c'(t), kept inside
+the bracket of each seed's scan neighbours.  Every step is row-independent, so
+a query's answer does not depend on the other queries of its batch, and a
+single query is simply a batch of one row.
+
+Both entry points share the scan and ``refine``.  ``project`` refines the scan
+argmin of every window, which gives the global nearest point per query
+(``project_many``).  ``candidates`` refines every local scan minimum of every
+row and reports each candidate's row, piece and parameter: the nearest-point
+sets and multiplicities of ``nearest_points_many`` cluster them, and locating
+a boundary point on the pieces is their argmin.
 """
 
 from __future__ import annotations
@@ -104,6 +110,14 @@ def refine(curve, piece, qx, qy, t, a, b):
             np.where(worse, d0, d))
 
 
+def _scan(shape, pieces, lo, hi, pts):
+    """Scan parameters, points and distances (n, windows, samples) of the queries pts."""
+    u, _ = _unit_scan(shape._closed, shape._scan)
+    ts = lo[..., None] + (hi - lo)[..., None] * u
+    x, y = shape._curve(pieces[:, None], ts, derivs=False)
+    return ts, x, y, np.hypot(x - pts[:, 0, None, None], y - pts[:, 1, None, None])
+
+
 def project(shape, pts: np.ndarray):
     """Global nearest point on the curved pieces: (distances (n,), points (n, 2))."""
     n = len(pts)
@@ -111,18 +125,15 @@ def project(shape, pts: np.ndarray):
     hi = np.where(valid, hi, lo)
     w = len(pieces)
     qx, qy = pts[:, 0, None], pts[:, 1, None]
-    u, gaps = _unit_scan(shape._closed, shape._scan)
     seeds, dm, d0, dp = (np.empty((n, w)) for _ in range(4))
     for s in range(0, n, CHUNK):
         blk = slice(s, s + CHUNK)
-        ts = lo[blk, :, None] + (hi - lo)[blk, :, None] * u
-        x, y = shape._curve(pieces[:, None], ts, derivs=False)
-        d = np.hypot(x - qx[blk, :, None], y - qy[blk, :, None])
+        ts, _, _, d = _scan(shape, pieces, lo[blk], hi[blk], pts[blk])
         i = np.argmin(d, axis=2)[..., None]
         im, ip = _neighbours(i, shape._scan, shape._closed)
         seeds[blk] = np.take_along_axis(ts, i, axis=2)[..., 0]
         dm[blk], d0[blk], dp[blk] = (np.take_along_axis(d, k, axis=2)[..., 0] for k in (im, i, ip))
-    step = (hi - lo) / gaps
+    step = (hi - lo) / _unit_scan(shape._closed, shape._scan)[1]
     a, b = _brackets(seeds, step, lo, hi, shape._closed)
     seeds = _vertex(seeds, step, dm, d0, dp)
     _, x, y, d = refine(shape._curve, pieces, qx, qy, seeds, a, b)
@@ -131,8 +142,8 @@ def project(shape, pts: np.ndarray):
     return d[rows, j], np.stack([x[rows, j], y[rows, j]], axis=1)
 
 
-def local_minima_indices(values: np.ndarray, closed: bool):
-    """Indices (as from np.nonzero) of local minima along the last axis.
+def _local_minima(values: np.ndarray, closed: bool) -> np.ndarray:
+    """Mask of local minima along the last axis.
 
     For closed curves the comparison wraps around; for open ones the endpoints
     qualify when they beat their single neighbour.  Plateau samples (equal
@@ -144,49 +155,43 @@ def local_minima_indices(values: np.ndarray, closed: bool):
         ends = (np.full(values.shape[:-1] + (1,), np.inf),) * 2
     v = np.concatenate([ends[0], values, ends[1]], axis=-1)
     mid = v[..., 1:-1]
-    return np.nonzero((mid <= v[..., :-2]) & (mid <= v[..., 2:]))
+    return (mid <= v[..., :-2]) & (mid <= v[..., 2:])
 
 
-def candidates(shape, x: np.ndarray):
-    """Nearest-point candidates of one query on the curved pieces.
+def candidates(shape, pts: np.ndarray):
+    """Nearest-point candidates of a block of queries on the curved pieces.
 
-    Returns (dists, points, pieces, ts): each candidate's distance, point, and
-    the piece and parameter it lies at.
+    One scan covers every row of ``pts`` (at most CHUNK rows, so the scan holds
+    at most CHUNK * windows * samples values), and one ``refine`` call refines
+    every row's local scan minima.  A window with more than PLATEAU_MINIMA
+    minima (a flat stretch, such as a disk centre) keeps its scan minima as
+    they are.  Every run of scan samples tied with the optimum holds its own
+    local scan minimum, so a flat stretch is represented without further
+    samples.
 
-    Every local scan minimum is refined, except in a window with more than
-    PLATEAU_MINIMA minima, which keeps its scan minima as they are.  Scan
-    samples tied with the optimum at measurement resolution (not merely within
-    the caller's tol: a shallow smooth valley is still one minimizer) and
-    farther than 1.5 samples from every candidate of their window are added as
-    representatives, so flat near-optimal stretches count towards the
-    multiplicity.
+    Returns flat arrays (rows, dists, points, pieces, ts): each candidate's
+    query row, distance, point (k, 2), and the piece and parameter it lies at,
+    grouped by row in increasing order; within a row the candidates follow
+    the windows and then the scan order.
     """
-    pieces, lo, hi, keep = _window_bounds(shape, x[None, :])
-    pieces, lo, hi = pieces[keep[0]], lo[keep], hi[keep]
+    pieces, lo, hi, valid = _window_bounds(shape, pts)
+    used = valid.any(axis=0)           # windows empty in every row are not scanned
+    if not used.all():
+        pieces, lo, hi, valid = pieces[used], lo[:, used], hi[:, used], valid[:, used]
+    hi = np.where(valid, hi, lo)
     closed = shape._closed
-    u, gaps = _unit_scan(closed, shape._scan)
-    ts, step = lo[:, None] + (hi - lo)[:, None] * u, (hi - lo) / gaps
-    sx, sy = shape._curve(pieces[:, None], ts, derivs=False)
-    ds = np.hypot(sx - x[0], sy - x[1])
-    w, i = local_minima_indices(ds, closed)
+    ts, sx, sy, ds = _scan(shape, pieces, lo, hi, pts)
+    step = (hi - lo) / _unit_scan(closed, shape._scan)[1]
+    r, w, i = np.nonzero(_local_minima(ds, closed) & valid[..., None])
     im, ip = _neighbours(i, shape._scan, closed)
-    t, sw = ts[w, i], step[w]
-    a, b = _brackets(t, sw, lo[w], hi[w], closed)
-    seed = _vertex(t, sw, ds[w, im], ds[w, i], ds[w, ip])
+    t, sw = ts[r, w, i], step[r, w]
+    a, b = _brackets(t, sw, lo[r, w], hi[r, w], closed)
+    seed = _vertex(t, sw, ds[r, w, im], ds[r, w, i], ds[r, w, ip])
     piece = pieces[w]
-    t, px, py, d = refine(shape._curve, piece, x[0], x[1], seed, a, b)
-    flat = np.bincount(w)[w] > PLATEAU_MINIMA
+    t, px, py, d = refine(shape._curve, piece, pts[r, 0], pts[r, 1], seed, a, b)
+    window = r * len(pieces) + w
+    flat = np.bincount(window)[window] > PLATEAU_MINIMA
     if flat.any():
-        t, px, py, d = (np.where(flat, scan[w, i], ref)
+        t, px, py, d = (np.where(flat, scan[r, w, i], ref)
                         for scan, ref in ((ts, t), (sx, px), (sy, py), (ds, d)))
-    d_min = float(d.min())
-    nw, ni = np.nonzero(ds <= d_min + max(1e-12, 1e-9 * d_min))
-    if len(nw):
-        covered = (nw[:, None] == w[None, :]) & (
-            np.abs(ts[nw, ni][:, None] - t[None, :]) <= 1.5 * step[nw][:, None])
-        reps = ~covered.any(axis=1)
-        nw, ni = nw[reps], ni[reps]
-        d, piece, t = (np.concatenate([d, ds[nw, ni]]), np.concatenate([piece, pieces[nw]]),
-                       np.concatenate([t, ts[nw, ni]]))
-        px, py = np.concatenate([px, sx[nw, ni]]), np.concatenate([py, sy[nw, ni]])
-    return d, np.stack([px, py], axis=1), piece, t
+    return r, d, np.stack([px, py], axis=1), piece, t

@@ -27,7 +27,13 @@ from .counterexamples import (
 )
 from .errors import DistanceFieldError, PreconditionViolated
 from .fmm import GridField, GridSpec, extract_level_set, grid_error, grid_to_csv, solve_fmm, verify_level_distance
-from .projection import gradient, is_medial, nearest_points, signed_distance_many
+from .projection import (
+    gradient,
+    is_medial,
+    nearest_points,
+    nearest_points_many,
+    signed_distance_many,
+)
 from .regularity import (
     SampleBox,
     c1_margin,
@@ -92,12 +98,12 @@ def _cmd_medial(args) -> int:
         tol = args.tol
     grid = _require_grid(shape, grid)
     rows = ["x1,x2" if len(grid.dims) == 2 else "x1,x2,x3"]
-    for p in grid.nodes():
-        try:
-            if is_medial(shape, p, tol):
-                rows.append(csv_row(p))
-        except DistanceFieldError:
-            continue
+    # Nodes the shape cannot answer (a spiral's truncation zone) are skipped.
+    nodes = grid.nodes()
+    nodes = nodes[shape._answerable(nodes)]
+    for p, res in zip(nodes, nearest_points_many(shape, nodes, tol)):
+        if res.multiplicity >= 2:
+            rows.append(csv_row(p))
     _write(args.out, "\n".join(rows) + "\n")
     return 0
 
@@ -199,7 +205,7 @@ def _verify_boundary_gradient(shape, args, rng) -> dict:
     else:
         # Evenly spaced boundary samples; corners have no normal to compare with.
         pts, _ = shape.boundary_sample_with_normals(0.5)
-        idx = np.linspace(0, len(pts) - 1, 8).astype(int)
+        idx = np.unique(np.linspace(0, len(pts) - 1, 8).astype(int))
         points = [pts[i] for i in idx if not shape._at_corner(pts[i])]
         skipped = len(idx) - len(points)
     worst = 0.0
@@ -267,9 +273,32 @@ def _verify_c1(shape, args, rng) -> dict:
     return out
 
 
+# Nodes per axis of the grid that bounds the signed distance over the box.
+FIT_NODES = 33
+
+
+def _check_delta_fits(shape: Shape, lo, hi, delta: float):
+    """Fail fast when no point of the box can lie delta above the boundary.
+
+    Every point of the box is within h sqrt(m) / 2 of a node of a grid with
+    spacing h, and d is 1-Lipschitz, so d stays below the grid maximum plus
+    that radius.  Skipped when a node cannot be answered.
+    """
+    grid = GridSpec.from_bbox(lo, hi, FIT_NODES - 1)
+    nodes = grid.nodes()
+    if not shape._answerable(nodes).all():
+        return
+    bound = float(np.max(signed_distance_many(shape, nodes))) + 0.5 * grid.h * math.sqrt(shape.dim)
+    if bound < delta:
+        raise PreconditionViolated(
+            f"--delta {delta:g} does not fit the scene: the signed distance stays below "
+            f"{bound:.6g} in the sampling box")
+
+
 def _verify_lipschitz(shape, args, rng) -> dict:
     lo, hi = shape.bbox()
     delta = args.delta
+    _check_delta_fits(shape, lo, hi, delta)
     box = SampleBox(lo=lo, hi=hi, d_max=args.dmax)
     lhat = gradient_lipschitz_estimate(shape, a=0.0, delta=delta, n_pairs=args.n,
                                        box=box, seed=args.seed)

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._csv import csv_row
 from .errors import DistanceFieldError, TruncationExceeded
-from .projection import is_medial, signed_distance
+from .projection import nearest_points_many, signed_distance
 from .shapes import Cusp, Spiral
 
 # Validated floor for the exponential negative control: the measured midline
@@ -107,21 +107,17 @@ def cusp_medial_check(alpha: float, n: int, x1_max: float, tol: float) -> dict:
     """
     shape = Cusp(alpha)
     x1s = np.linspace(x1_max / n, x1_max, n)
-    on_hits = 0
-    for x1 in x1s:
-        if is_medial(shape, np.array([x1, 0.0]), tol):
-            on_hits += 1
-    off_hits = 0
     off_points = []
     for i, x1 in enumerate(x1s):
         y = max(10.0 * tol, 0.25 * x1) * (1.0 if i % 2 == 0 else -1.0)
-        p = np.array([x1, y])
-        if not shape.contains(p):
+        if not shape.contains(np.array([x1, y])):
             y = math.copysign(10.0 * tol, y)
-            p = np.array([x1, y])
-        off_points.append(p)
-        if not is_medial(shape, p, tol):
-            off_hits += 1
+        off_points.append([x1, y])
+    on_points = np.stack([x1s, np.zeros(n)], axis=1)
+    res = nearest_points_many(shape, np.concatenate([on_points, off_points]), tol)
+    medial = np.array([r.multiplicity >= 2 for r in res], dtype=bool)
+    on_hits = int(np.sum(medial[:n]))
+    off_hits = int(np.sum(~medial[n:]))
     return {
         "alpha": alpha,
         "tol": tol,

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._csv import csv_row
 from .errors import EmptyBand, InvalidSpec, InvalidTube, LevelOutOfRange
-from .projection import nearest_points, signed_distance_many
+from .projection import nearest_points_many, signed_distance_many
 from .shapes import Shape, as_points
 
 # Node stride of the subgrid on which solve_fmm evaluates the exact distance
@@ -380,14 +380,14 @@ def verify_level_distance(shape: Shape, a: float, samples, spacing: float = 1e-5
     d_s = signed_distance_many(shape, samples)
     if np.any(d_s <= a):
         raise InvalidTube("every sample must satisfy d(y) > a")
-    for y, dy in zip(samples, d_s):
-        res = nearest_points(shape, y, 1e-8)
-        if res.multiplicity != 1:
+    res = nearest_points_many(shape, samples, 1e-8)
+    near = np.array([r.points[0] for r in res]).reshape(samples.shape)
+    g = (samples - near) / d_s[:, None]
+    res_ext = nearest_points_many(shape, samples + (0.05 * (d_s - a))[:, None] * g, 1e-8)
+    for r, r_ext in zip(res, res_ext):
+        if r.multiplicity != 1:
             raise InvalidTube("sample has a non-unique projection")
-        g = (y - res.points[0]) / dy
-        ext = y + 0.05 * (dy - a) * g
-        res_ext = nearest_points(shape, ext, 1e-8)
-        if res_ext.multiplicity != 1:
+        if r_ext.multiplicity != 1:
             raise InvalidTube("extended characteristic meets the medial axis")
 
     pts, normals = shape.boundary_sample_with_normals(spacing)
@@ -398,14 +398,40 @@ def verify_level_distance(shape: Shape, a: float, samples, spacing: float = 1e-5
     if np.max(np.abs(check - a)) > 1e-7:
         raise InvalidTube("offset construction does not reach the level set")
 
-    worst = 0.0
-    for y, dy in zip(samples, d_s):
-        dmin = math.inf
-        for i in range(0, len(level_pts), 262144):
-            block = level_pts[i : i + 262144]
-            dmin = min(dmin, float(np.min(np.linalg.norm(block - y, axis=1))))
-        worst = max(worst, abs(dmin - (dy - a)))
-    return worst
+    dmin = _min_distances(level_pts, samples)
+    return float(np.max(np.abs(dmin - (d_s - a)), initial=0.0))
+
+
+# Consecutive level points per block of ``_min_distances``.
+LEVEL_BLOCK = 256
+
+
+def _min_distances(pts: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Minimum Euclidean distance from each query to the point sequence pts.
+
+    The points are cut into blocks of LEVEL_BLOCK consecutive points.  Every
+    point of a block lies within a radius of LEVEL_BLOCK / 2 times the block's
+    largest gap between consecutive points of the block's middle point, so a
+    block whose middle point is farther than that radius plus the best
+    distance to any middle point (with a rounding slack) cannot hold the
+    minimum.  Exact distances are taken in the other blocks only; the minimum
+    is the one a full scan finds.
+    """
+    n = len(pts)
+    starts = np.arange(0, n, LEVEL_BLOCK)
+    gaps = np.zeros(n)
+    gaps[:-1] = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    gaps[LEVEL_BLOCK - 1::LEVEL_BLOCK] = 0.0        # gaps between blocks
+    radius = 0.5 * LEVEL_BLOCK * np.maximum.reduceat(gaps, starts)
+    mids = pts[np.minimum(starts + LEVEL_BLOCK // 2, n - 1)]
+    out = np.empty(len(queries))
+    for q, y in enumerate(queries):
+        to_mid = np.linalg.norm(mids - y, axis=1)
+        bound = np.min(to_mid)
+        near = starts[to_mid - radius <= bound * (1.0 + 1e-9) + 1e-12]
+        idx = (near[:, None] + np.arange(LEVEL_BLOCK)).ravel()
+        out[q] = np.min(np.linalg.norm(pts[idx[idx < n]] - y, axis=1))
+    return out
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,13 @@ boundary with gradient (x - p(x)) / d(x); where several boundary points tie
 Tolerances make that dichotomy computable: minimizers within ``tol`` of
 optimal are clustered at radius ``tol`` and the cluster count is the reported
 multiplicity.
+
+One batched engine decides that dichotomy.  ``nearest_points_many`` takes the
+queries in blocks of CHUNK rows; each block makes one
+``Shape.projection_candidates`` call (one scan and one Newton refinement on
+curved shapes, closed forms elsewhere) and clusters each row's near-optimal
+candidates.  ``nearest_points``, ``is_medial`` and ``gradient`` are its
+one-row case, so a batched answer equals the scalar one row by row.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._minimize import CHUNK
 from .shapes import CLUSTER_CAP, ON_BOUNDARY_TOL, Shape, as_point, as_points
 from .errors import NotC1, NotOnBoundary
 
@@ -46,16 +54,14 @@ class ProjectionResult:
         return self.multiplicity == CONTINUUM
 
 
-def _cluster(points: np.ndarray, dists: np.ndarray, tol: float):
-    """Greedy union of candidate points at merge radius tol.
+def _cluster(points: np.ndarray, tol: float):
+    """Greedy union of candidate points, in order, at merge radius tol.
 
-    Returns (representatives, count); the representative of each cluster is its
-    minimal-distance member.
+    The points come sorted by distance, so each cluster's representative is its
+    minimal-distance member.  Stops after CLUSTER_CAP + 1 representatives.
     """
-    order = np.argsort(dists, kind="stable")
     reps: list[np.ndarray] = []
-    for i in order:
-        p = points[i]
+    for p in points:
         if any(np.linalg.norm(p - r) <= tol for r in reps):
             continue
         reps.append(p)
@@ -64,23 +70,51 @@ def _cluster(points: np.ndarray, dists: np.ndarray, tol: float):
     return reps
 
 
+def _nearest_block(shape: Shape, pts: np.ndarray, tol: float) -> list[ProjectionResult]:
+    """``nearest_points`` of a block of at most CHUNK validated queries."""
+    n = len(pts)
+    rows, dists, points, continuum = shape.projection_candidates(pts, tol)
+    # Candidates by row, then by distance; ties keep the shape's order.
+    order = np.lexsort((dists, rows))
+    rows, dists, points = rows[order], dists[order], points[order]
+    starts = np.searchsorted(rows, np.arange(n))
+    d_min = dists[starts]
+    kept = np.bincount(rows, weights=dists <= d_min[rows] + tol, minlength=n)
+    starts, kept = starts.tolist(), kept.astype(int).tolist()
+    # The near-optimal candidates of a row are a prefix of its run.
+    out = []
+    for j, (s, k, dense) in enumerate(zip(starts, kept, continuum.tolist())):
+        if k == 1 and not dense:
+            out.append(ProjectionResult(points[s:s + 1], float(d_min[j]), 1, tol))
+            continue
+        reps = _cluster(points[s:s + k], tol)
+        if dense or len(reps) > CLUSTER_CAP:
+            count = CONTINUUM
+            reps = reps[: CLUSTER_CAP + 1]
+        else:
+            count = len(reps)
+        reps_arr = np.stack(reps)
+        out.append(ProjectionResult(reps_arr[np.lexsort(reps_arr.T[::-1])],
+                                    float(d_min[j]), count, tol))
+    return out
+
+
+def nearest_points_many(shape: Shape, pts, tol: float = DEFAULT_TOL) -> list[ProjectionResult]:
+    """``nearest_points`` of every row of pts, in blocks of CHUNK rows."""
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    pts = as_points(pts, shape.dim)
+    out: list[ProjectionResult] = []
+    for s in range(0, len(pts), CHUNK):
+        out += _nearest_block(shape, pts[s:s + CHUNK], tol)
+    return out
+
+
 def nearest_points(shape: Shape, x, tol: float = DEFAULT_TOL) -> ProjectionResult:
     """All tol-near-optimal nearest boundary points of x, clustered at radius tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    x = as_point(x, shape.dim)
-    cand = shape.projection_candidates(x, tol)
-    d_min = float(np.min(cand.dists))
-    keep = cand.dists <= d_min + tol
-    reps = _cluster(cand.points[keep], cand.dists[keep], tol)
-    if cand.continuum or len(reps) > CLUSTER_CAP:
-        count = CONTINUUM
-        reps = reps[: CLUSTER_CAP + 1]
-    else:
-        count = len(reps)
-    reps_arr = np.stack(reps)
-    order = np.lexsort(reps_arr.T[::-1])
-    return ProjectionResult(reps_arr[order], d_min, count, tol)
+    return _nearest_block(shape, as_point(x, shape.dim)[None, :], tol)[0]
 
 
 def signed_distance(shape: Shape, x) -> float:

@@ -31,7 +31,7 @@ from .errors import (
 from .projection import (
     gradient_from_result,
     gradient_many,
-    nearest_points,
+    nearest_points_many,
     signed_distance,
     signed_distance_many,
 )
@@ -182,20 +182,22 @@ def c1_margin(shape: Shape, p, r: float, n_pairs: int, tol: float = 1e-8,
     xs, ds, gs = [], [], []
     attempts = 0
     while len(xs) < need and attempts < 200 * need:
-        attempts += 1
-        u = rng.normal(size=m)
-        u /= np.linalg.norm(u)
-        x = p + r * rng.uniform() ** (1.0 / m) * u
-        d = signed_distance(shape, x)
-        if abs(d) <= 1e-12:
-            continue
-        res = nearest_points(shape, x, tol)
-        if res.multiplicity >= 2:
-            raise MedialInBall(f"sampled point {x.tolist()} has multiple projections")
-        g = gradient_from_result(shape, x, res)
-        xs.append(x)
-        ds.append(d)
-        gs.append(g)
+        # A block of attempts, each drawn as one normal vector and one uniform.
+        block = np.empty((min(need - len(xs), 200 * need - attempts), m))
+        for x in block:
+            u = rng.normal(size=m)
+            u /= np.linalg.norm(u)
+            x[:] = p + r * rng.uniform() ** (1.0 / m) * u
+        attempts += len(block)
+        d = signed_distance_many(shape, block)
+        off = np.abs(d) > 1e-12
+        block, d = block[off], d[off]
+        for x, dx, res in zip(block, d.tolist(), nearest_points_many(shape, block, tol)):
+            if res.multiplicity >= 2:
+                raise MedialInBall(f"sampled point {x.tolist()} has multiple projections")
+            xs.append(x)
+            ds.append(dx)
+            gs.append(gradient_from_result(shape, x, res))
     if len(xs) < need:
         raise PreconditionViolated("could not sample enough valid pair points")
 

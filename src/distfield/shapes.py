@@ -81,19 +81,14 @@ def as_points(pts, dim: int) -> np.ndarray:
     return p
 
 
-@dataclass
-class Candidates:
-    """Refined nearest-boundary-point candidates for one query.
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of a (n, m) with b (m,) or (n, m).
 
-    ``dists``/``points`` list every candidate found (global and near-optimal
-    local minimizers plus flat-stretch representatives).  ``continuum`` is set
-    when the shape knows the near-optimal set is a whole boundary stretch too
-    dense to enumerate (disk center).
+    Each row is one vector product, so a row's value does not depend on the
+    other rows (a matrix-vector product of several rows may round differently
+    from the same product on one row).
     """
-
-    dists: np.ndarray       # (k,)
-    points: np.ndarray      # (k, m)
-    continuum: bool = False
+    return (a[:, None, :] @ b[..., None])[:, 0, 0]
 
 
 class Shape:
@@ -182,10 +177,25 @@ class Shape:
         return self._points(piece, ts), self._normals(piece, ts)
 
     # -- projection support ---------------------------------------------------
-    def projection_candidates(self, x, tol: float) -> Candidates:
-        """Refined local minimizers and flat-stretch representatives of one query."""
-        d, points, _, _ = candidates(self, as_point(x, self.dim))
-        return Candidates(d, points)
+    def projection_candidates(self, pts, tol: float):
+        """Nearest-boundary-point candidates of a block of queries (n, m).
+
+        Returns flat arrays (rows, dists, points, continuum): each candidate's
+        query row, distance and point (k, m), and per query a flag (n,) that
+        the near-optimal set is a whole boundary stretch too dense to
+        enumerate (the ball centre).  Candidates of one row keep a fixed
+        order, which breaks distance ties.  Every refined local minimizer is a
+        candidate, with flat stretches represented by their scan samples.  One
+        scan serves the whole block, so callers pass blocks of at most
+        ``_minimize.CHUNK`` rows.
+        """
+        pts = as_points(pts, self.dim)
+        rows, d, points, _, _ = candidates(self, pts)
+        return rows, d, points, np.zeros(len(pts), dtype=bool)
+
+    def _answerable(self, pts: np.ndarray) -> np.ndarray:
+        """Rows (n,) that a distance query answers rather than rejects."""
+        return np.ones(len(pts), dtype=bool)
 
     def project_many(self, pts) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized global nearest point: (distances (n,), points (n, m))."""
@@ -202,7 +212,7 @@ class Shape:
 
     def _locate(self, p):
         """(piece, t) of the boundary point p: the nearest candidate on the pieces."""
-        d, _, piece, t = candidates(self, p)
+        _, d, _, piece, t = candidates(self, p[None, :])
         j = int(np.argmin(d))
         if d[j] > ON_BOUNDARY_TOL:
             raise NotOnBoundary(f"point {p.tolist()} is {d[j]:.3g} from the curved boundary")
@@ -297,19 +307,26 @@ class Disk(Shape):
     def _windows(self, pts):
         return _ONE_TURN
 
-    def projection_candidates(self, x, tol: float) -> Candidates:
+    def projection_candidates(self, pts, tol: float):
         if self.dim == 2:
-            return super().projection_candidates(x, tol)
-        # 3-d ball: closed form, with an explicit continuum at the center.
-        x = as_point(x, self.dim)
-        v = x - self.center
-        s = float(np.linalg.norm(v))
-        if s <= 0.5 * tol:
+            return super().projection_candidates(pts, tol)
+        # 3-d ball: closed form; a query at the center is a continuum, listed
+        # by a sample of the sphere.
+        pts = as_points(pts, self.dim)
+        v = pts - self.center
+        s = np.sqrt(_rowdot(v, v))
+        continuum = s <= 0.5 * tol
+        rows, d = np.arange(len(pts)), np.abs(self.radius - s)
+        proj = self.center + self.radius * v / np.where(continuum, 1.0, s)[:, None]
+        if continuum.any():
             reps, _ = self.boundary_sample_with_normals(self.radius * 0.1)
-            d = np.linalg.norm(reps - x, axis=1)
-            return Candidates(d, reps, continuum=True)
-        proj = self.center + self.radius * v / s
-        return Candidates(np.array([abs(self.radius - s)]), proj[None, :])
+            c = np.flatnonzero(continuum)
+            keep = ~continuum
+            rows = np.concatenate([rows[keep], np.repeat(c, len(reps))])
+            d = np.concatenate([d[keep], np.linalg.norm(
+                reps[None, :, :] - pts[c, None, :], axis=2).ravel()])
+            proj = np.concatenate([proj[keep], np.tile(reps, (len(c), 1))])
+        return rows, d, proj, continuum
 
     def project_many(self, pts):
         pts = as_points(pts, self.dim)
@@ -366,7 +383,7 @@ class HalfSpace(Shape):
         object.__setattr__(self, "extent", float(extent))
 
     def _height(self, pts: np.ndarray) -> np.ndarray:
-        return pts @ self.unit_normal - self.offset
+        return _rowdot(pts, self.unit_normal) - self.offset
 
     def _tangent_basis(self) -> np.ndarray:
         n = self.unit_normal
@@ -406,11 +423,10 @@ class HalfSpace(Shape):
             raise NotOnBoundary("point is not on the bounding hyperplane")
         return self.unit_normal.copy()
 
-    def projection_candidates(self, x, tol: float) -> Candidates:
-        x = as_point(x, self.dim)
-        t = float(self._height(x[None, :])[0])
-        proj = x - t * self.unit_normal
-        return Candidates(np.array([abs(t)]), proj[None, :])
+    def projection_candidates(self, pts, tol: float):
+        pts = as_points(pts, self.dim)
+        d, proj = self.project_many(pts)
+        return np.arange(len(pts)), d, proj, np.zeros(len(pts), dtype=bool)
 
     def project_many(self, pts):
         pts = as_points(pts, self.dim)
@@ -535,10 +551,11 @@ class Polygon(Shape):
         d = np.linalg.norm(pts[:, None, :] - feet, axis=2)
         return d, feet, t
 
-    def projection_candidates(self, x, tol: float) -> Candidates:
-        x = as_point(x, 2)
-        d, feet, _ = self._edge_feet(x[None, :])
-        return Candidates(d[0], feet[0])
+    def projection_candidates(self, pts, tol: float):
+        pts = as_points(pts, 2)
+        d, feet, _ = self._edge_feet(pts)
+        rows = np.repeat(np.arange(len(pts)), d.shape[1])
+        return rows, d.ravel(), feet.reshape(-1, 2), np.zeros(len(pts), dtype=bool)
 
     def project_many(self, pts):
         pts = as_points(pts, 2)
@@ -759,15 +776,20 @@ class Spiral(Shape):
         """Smallest query radius at which truncation provably cannot matter."""
         return float(self.f(max(self.theta_min, self.theta_max - 3.0 * math.pi)))
 
-    def _check_radius(self, r):
+    def _truncated(self, r: np.ndarray) -> np.ndarray:
         # The apex itself is a boundary point of the untruncated domain with
         # distance exactly zero (the walls accumulate at the origin), so radius
         # 0 is answerable; any other radius below the zone is not.
-        r = np.asarray(r)
-        if np.any((r < self.reject_radius) & (r != 0.0)):
+        return (r < self.reject_radius) & (r != 0.0)
+
+    def _check_radius(self, r):
+        if np.any(self._truncated(np.asarray(r))):
             raise TruncationExceeded(
                 f"query radius below truncation zone {self.reject_radius:.3g}"
             )
+
+    def _answerable(self, pts: np.ndarray) -> np.ndarray:
+        return ~self._truncated(np.linalg.norm(pts, axis=1))
 
     _scan = 512
     _orient = np.array([1.0, -1.0])
@@ -810,7 +832,7 @@ class Spiral(Shape):
         for which in (0, 1):
             p0, p1 = self._cap_segment(which)
             e = p1 - p0
-            t = np.clip((pts - p0) @ e / float(e @ e), 0.0, 1.0)
+            t = np.clip(_rowdot(pts - p0, e) / float(e @ e), 0.0, 1.0)
             feet.append(p0 + t[:, None] * e)
             ds.append(np.linalg.norm(pts - feet[-1], axis=1))
         return np.stack(ds, axis=1), np.stack(feet, axis=1)
@@ -885,14 +907,24 @@ class Spiral(Shape):
             return super().inner_normal(p)
         return self._cap_normal(which)
 
-    def projection_candidates(self, x, tol: float) -> Candidates:
-        x = as_point(x, 2)
-        if not x.any():
-            return Candidates(np.array([0.0]), np.zeros((1, 2)))
-        cand = super().projection_candidates(x, tol)
-        cap_d, cap_p = self._cap_feet(x[None, :])
-        return Candidates(np.concatenate([cand.dists, cap_d[0]]),
-                          np.concatenate([cand.points, cap_p[0]]))
+    def projection_candidates(self, pts, tol: float):
+        # The engine's wall candidates, then the two cap feet of each row; the
+        # apex (a boundary point of the untruncated domain) is its own answer.
+        pts = as_points(pts, 2)
+        n = len(pts)
+        live = np.flatnonzero(pts.any(axis=1))
+        walls = pts[live]
+        rows, d, points, _, _ = candidates(self, walls)
+        cap_d, cap_p = self._cap_feet(walls)
+        rows = np.concatenate([live[rows], np.repeat(live, 2)])
+        d = np.concatenate([d, cap_d.ravel()])
+        points = np.concatenate([points, cap_p.reshape(-1, 2)])
+        if len(live) < n:
+            apex = np.setdiff1d(np.arange(n), live)
+            rows = np.concatenate([rows, apex])
+            d = np.concatenate([d, np.zeros(len(apex))])
+            points = np.concatenate([points, np.zeros((len(apex), 2))])
+        return rows, d, points, np.zeros(n, dtype=bool)
 
     def project_many(self, pts):
         pts = as_points(pts, 2)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -102,21 +103,22 @@ def test_verify_c1_ball(tmp_path, capsys):
     assert report["passed"] is True
 
 
-@pytest.mark.parametrize("spec,skipped,codes", [
-    ({"type": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}, 4, (0,)),
+@pytest.mark.parametrize("spec,skipped,total,codes", [
+    ({"type": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}, 4, 8, (0,)),
     # Channel samples near the apex are narrower than the finest probe scale.
-    ({"type": "spiral", "beta": 1.0}, 2, (0, 1)),
-    # Every sample is a vertex: nothing is checked, so nothing passes.
-    ({"type": "polygon", "vertices": [[0, 0], [0.3, 0], [0, 0.3]]}, 8, (1,)),
+    ({"type": "spiral", "beta": 1.0}, 2, 8, (0, 1)),
+    # The boundary sample holds only the 3 vertices, each taken once: nothing
+    # is checked, so nothing passes.
+    ({"type": "polygon", "vertices": [[0, 0], [0.3, 0], [0, 0.3]]}, 3, 3, (1,)),
 ], ids=["square", "spiral", "small-triangle"])
-def test_verify_boundary_gradient_skips_corners(spec, skipped, codes, tmp_path, capsys):
+def test_verify_boundary_gradient_skips_corners(spec, skipped, total, codes, tmp_path, capsys):
     path = tmp_path / "scene.json"
     path.write_text(json.dumps({"shape": spec}))
     rc = main(["verify", "boundary-gradient", "--scene", str(path)])
     report = json.loads(capsys.readouterr().out.strip())
     assert rc in codes and rc == (0 if report["passed"] else 1)
     assert report["n_skipped"] == skipped
-    assert report["n_points"] + report["n_skipped"] == 8
+    assert report["n_points"] + report["n_skipped"] == total
 
 
 def test_verify_lipschitz(disk_scene, capsys):
@@ -125,6 +127,19 @@ def test_verify_lipschitz(disk_scene, capsys):
     assert rc == 0
     report = json.loads(capsys.readouterr().out.strip())
     assert report["lipschitz"] <= report["bound"]
+
+
+def test_verify_lipschitz_fails_fast_when_delta_cannot_fit(disk_scene, tmp_path, capsys):
+    # The spiral channel is narrower than 2 * 0.5 everywhere.
+    path = tmp_path / "spiral.json"
+    path.write_text(json.dumps({"shape": {"type": "spiral", "beta": 1.0}}))
+    t0 = time.perf_counter()
+    rc = main(["verify", "lipschitz", "--scene", str(path)])
+    assert time.perf_counter() - t0 < 2.0
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--delta 0.5" in err and "below 0.2" in err
+    assert main(["verify", "lipschitz", "--scene", disk_scene, "--n", "100"]) == 0
 
 
 @pytest.mark.parametrize("spec", [

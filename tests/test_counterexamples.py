@@ -44,10 +44,10 @@ def test_midline_points_are_medial(spiral_pow):
         r = 0.5 * (f_out + f_in)
         half_width = 0.5 * (f_out - f_in)
         z = np.array([r * math.cos(theta), r * math.sin(theta)])
-        cand = spiral_pow.projection_candidates(z, 1e-9)
-        radii = np.linalg.norm(cand.points, axis=1)
-        d_outer = float(np.min(cand.dists[radii > r]))
-        d_inner = float(np.min(cand.dists[radii < r]))
+        _, dists, points, _ = spiral_pow.projection_candidates(z[None, :], 1e-9)
+        radii = np.linalg.norm(points, axis=1)
+        d_outer = float(np.min(dists[radii > r]))
+        d_inner = float(np.min(dists[radii < r]))
         assert abs(d_outer - d_inner) <= 0.05 * half_width
         assert is_medial(spiral_pow, z, tol=0.05 * half_width)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from distfield import fmm
 from distfield import (
+    Cusp,
     Disk,
     Ellipse,
     EmptyBand,
@@ -163,6 +164,55 @@ def test_level_distance_ellipse(ellipse21):
     samples = pts + 0.3 * normals
     residual = verify_level_distance(ellipse21, 0.1, samples, spacing=1e-4)
     assert residual <= 1e-4
+
+
+def _ref_level_residual(level_pts, samples, d_s, a):
+    """The brute-force minimum of verify_level_distance before block bounds, verbatim."""
+    worst = 0.0
+    for y, dy in zip(samples, d_s):
+        dmin = math.inf
+        for i in range(0, len(level_pts), 262144):
+            block = level_pts[i : i + 262144]
+            dmin = min(dmin, float(np.min(np.linalg.norm(block - y, axis=1))))
+        worst = max(worst, abs(dmin - (dy - a)))
+    return worst
+
+
+@pytest.mark.parametrize("shape,spacing", [
+    (Disk((0.0, 0.0), 1.0), 1e-4),
+    (Ellipse((2.0, 1.0)), 1e-4),
+    (Cusp(0.5), 1e-3),
+    (Disk((0.1, 0.0, -0.2), 1.0), 0.05),
+], ids=["disk", "ellipse", "cusp", "ball"])
+def test_block_bounded_minimum_matches_the_full_scan(shape, spacing):
+    # Per query: the same minimum as the full scan, bit for bit, on random
+    # points in and around the shape and next to the level points (the cusp's
+    # two branches meet with a gap far larger than the spacing, which only a
+    # per-block gap bounds).
+    pts, normals = shape.boundary_sample_with_normals(spacing)
+    level_pts = pts + 0.05 * normals
+    lo, hi = shape.bbox()
+    rng = np.random.default_rng(17)
+    near = level_pts[rng.integers(len(level_pts), size=100)]
+    queries = np.concatenate([rng.uniform(lo, hi, size=(100, shape.dim)),
+                              near + rng.normal(scale=10 * spacing, size=near.shape)])
+    got = fmm._min_distances(level_pts, queries)
+    for q, y in enumerate(queries):
+        assert got[q] == _ref_level_residual(level_pts, [y], [0.05], 0.05)
+
+
+def test_level_distance_residual_matches_the_full_scan(unit_disk, ellipse21):
+    ang = np.linspace(0.1, 2 * np.pi, 10, endpoint=False)
+    cases = [(unit_disk, 0.2, 0.5 * np.stack([np.cos(ang), np.sin(ang)], axis=1))]
+    pts = np.stack([2 * np.cos(ang), np.sin(ang)], axis=1)
+    normals = -np.stack([np.cos(ang) / 2, np.sin(ang)], axis=1)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    cases.append((ellipse21, 0.1, pts + 0.3 * normals))
+    for shape, a, samples in cases:
+        bpts, bnormals = shape.boundary_sample_with_normals(1e-5)
+        ref = _ref_level_residual(bpts + a * bnormals, samples,
+                                  signed_distance_many(shape, samples), a)
+        assert verify_level_distance(shape, a, samples, spacing=1e-5) == ref
 
 
 def test_level_distance_rejects_shallow_samples(unit_disk):
