@@ -22,7 +22,6 @@ from .shapes import Cusp, Disk, Ellipse, HalfSpace, Polygon, Shape, Spiral, make
 from .projection import (
     CONTINUUM,
     ProjectionResult,
-    brute_force_distance,
     brute_force_distance_many,
     gradient,
     gradient_from_result,

@@ -1,13 +1,14 @@
 """The parametric projection engine: chunked scan plus safeguarded Newton.
 
 A curved shape describes its boundary once, by ``_curve``, ``_windows``,
-``_closed`` and ``_scan`` (the contract is in the ``Shape`` docstring).
-Every window of every query is scanned at ``shape._scan`` samples, in blocks
-of at most CHUNK queries, and the seeds are refined together by a Newton
-iteration on the stationarity function g(t) = (c(t) - x) . c'(t), kept inside
-the bracket of each seed's scan neighbours.  Every step is row-independent, so
-a query's answer does not depend on the other queries of its batch, and a
-single query is simply a batch of one row.
+``_closed``, ``_scan`` and ``_speed_bound`` (the contract is in the ``Shape``
+docstring).  Every window of every query is scanned at ``shape._scan``
+samples, in blocks of at most CHUNK queries, and the seeds are refined
+together by a Newton iteration on the stationarity function
+g(t) = (c(t) - x) . c'(t), kept inside the bracket of each seed's scan
+neighbours.  Every step is row-independent, so a query's answer does not
+depend on the other queries of its batch, and a single query is simply a
+batch of one row.
 
 Both entry points share the scan and ``refine``.  ``project`` refines the scan
 argmin of every window, which gives the global nearest point per query
@@ -15,6 +16,33 @@ argmin of every window, which gives the global nearest point per query
 row and reports each candidate's row, piece and parameter: the nearest-point
 sets and multiplicities of ``nearest_points_many`` cluster them, and locating
 a boundary point on the pieces is their argmin.
+
+``project`` scans in two levels and gives the same bits as the full scan.
+The coarse level evaluates every COARSE-th sample of each window, plus the
+last sample of an open window; consecutive coarse samples k, k + 1 bound a
+segment.  On a segment the curve moves at speed at most
+V = ``shape._speed_bound(piece, t_k, t_k+1)``, so no point of it, and no scan
+sample in it, is nearer to the query than
+
+    LB = min(d_k, d_k+1) - V (t_k+1 - t_k) / 2 - slack,
+
+with SCAN_SLACK covering the rounding of the distances.  The fine level
+evaluates only the samples of the live segments, those with LB at most the
+window's coarse minimum, and leaves every other sample at +inf.  Every sample
+at or below the window's coarse minimum lies in a live segment, so the
+window's scan argmin (the first sample at its minimum) is the full scan's;
+the argmin's two neighbours, which place the parabola vertex, are evaluated
+wherever they lie.  The window's seed, bracket and refined answer are
+therefore the full scan's.
+
+A window whose segments all have LB above the row's best coarse minimum plus
+ACCEPT_SLACK is dropped, like an empty window.  The window holding that
+minimum is seeded next to it and rejects a refinement that ends farther than
+ACCEPT_SLACK beyond its seed, so it refines to about that minimum or below,
+nearer than any point of a dropped window.  Where a row's best refined
+distance still reaches a dropped window's smallest LB, that window is
+scanned in full and refined too; every window left out is then strictly
+farther than the row's answer, which is therefore the full scan's.
 """
 
 from __future__ import annotations
@@ -26,6 +54,14 @@ import numpy as np
 SCAN_SAMPLES = 1024
 # Queries per scan block: the scan holds CHUNK * windows * samples values.
 CHUNK = 128
+# Stride of the coarse level of ``project``'s scan.
+COARSE = 16
+# Slack of a coarse segment's lower bound, relative to 1 plus the query's
+# largest coordinate, the segment's distance and its reach; it covers the
+# rounding of the scan distances and can only add live segments.
+SCAN_SLACK = 1e-9
+# A refinement farther than this from the query than its seed is rejected.
+ACCEPT_SLACK = 1e-12
 NEWTON_STEPS = 8
 # A Newton move this small ends the iteration: from there Newton's quadratic
 # convergence leaves an error far below rounding.  Parameters stay below ~1e3
@@ -105,39 +141,108 @@ def refine(curve, piece, qx, qy, t, a, b):
             if not active.any():
                 break
     d = np.hypot(x - qx, y - qy)
-    worse = ~(d <= d0 + 1e-12)
+    worse = ~(d <= d0 + ACCEPT_SLACK)
     return (np.where(worse, t0, t), np.where(worse, x0, x), np.where(worse, y0, y),
             np.where(worse, d0, d))
 
 
-def _scan(shape, pieces, lo, hi, pts):
-    """Scan parameters, points and distances (n, windows, samples) of the queries pts."""
-    u, _ = _unit_scan(shape._closed, shape._scan)
+def _scan(shape, pieces, lo, hi, pts, u):
+    """Scan parameters, points and distances (n, windows, len(u)) at the window positions u."""
     ts = lo[..., None] + (hi - lo)[..., None] * u
     x, y = shape._curve(pieces[:, None], ts, derivs=False)
     return ts, x, y, np.hypot(x - pts[:, 0, None, None], y - pts[:, 1, None, None])
 
 
+def _distances(shape, pieces, lo, span, pts, r, w, j):
+    """Scan parameters and distances of the samples j of the windows w of rows r."""
+    t = lo[r, w] + span[r, w] * _unit_scan(shape._closed, shape._scan)[0][j]
+    x, y = shape._curve(pieces[w], t, derivs=False)
+    return t, np.hypot(x - pts[r, 0], y - pts[r, 1])
+
+
+def _culled_scan(shape, pieces, lo, hi, span, valid, pts):
+    """Two-level scan of a block of rows.
+
+    Returns (rows, windows, argmin) of the kept windows, the scan argmin
+    being the full scan's, and the smallest segment bound (n, windows) of
+    every dropped window, +inf on the kept ones.
+    """
+    closed, n = shape._closed, shape._scan
+    u, gaps = _unit_scan(closed, n)
+    # Scan indices bounding the coarse segments; a closed window's last, n,
+    # is sample 0 one turn on, at window position 1.
+    bounds = np.append(np.arange(0, gaps, COARSE), gaps)
+    tk, _, _, dk = _scan(shape, pieces, lo, hi, pts, np.append(u, 1.0)[bounds])
+    if closed:
+        dk[..., -1] = dk[..., 0]
+    dmin = np.minimum(dk[..., :-1], dk[..., 1:])
+    reach = 0.5 * shape._speed_bound(pieces[:, None], tk[..., :-1], tk[..., 1:]) * np.diff(tk)
+    scale = 1.0 + np.max(np.abs(pts), axis=1)[:, None, None]
+    lb = dmin - reach - SCAN_SLACK * (scale + dmin + reach)
+    cmin, lb_min = dk.min(axis=2), lb.min(axis=2)
+    best = np.min(np.where(valid, cmin, np.inf), axis=1, keepdims=True)
+    keep = valid & (lb_min <= best + ACCEPT_SLACK)
+    d = np.full(dk.shape[:2] + (n,), np.inf)
+    on_scan = bounds < n
+    d[..., bounds[on_scan]] = dk[..., on_scan]
+    # The COARSE - 1 samples after the start of each live segment.  Only an
+    # open window's last segment can be shorter; its excess indices are
+    # clipped to the window's last sample, which is evaluated again.
+    r, w, k = (v[:, None] for v in np.nonzero(keep[..., None] & (lb <= cmin[..., None])))
+    j = np.minimum(bounds[k] + np.arange(1, COARSE), n - 1)
+    d[r, w, j] = _distances(shape, pieces, lo, span, pts, r, w, j)[1]
+    r, w = np.nonzero(keep)
+    return r, w, np.argmin(d, axis=2)[r, w], np.where(keep, np.inf, lb_min)
+
+
+def _refined(shape, pieces, lo, hi, span, pts, r, w, i):
+    """Refine the windows w of rows r from their scan argmins i.
+
+    Returns (d, x, y), each (n, windows): the refined distance and point of
+    those windows, +inf on every other window.
+    """
+    closed, n = shape._closed, shape._scan
+    im, ip = _neighbours(i, n, closed)
+    t, d0 = _distances(shape, pieces, lo, span, pts, r, w, i)
+    dm, dp = (_distances(shape, pieces, lo, span, pts, r, w, k)[1] for k in (im, ip))
+    step = span[r, w] / _unit_scan(closed, n)[1]
+    a, b = _brackets(t, step, lo[r, w], hi[r, w], closed)
+    t = _vertex(t, step, dm, d0, dp)
+    _, x, y, d = refine(shape._curve, pieces[w], pts[r, 0], pts[r, 1], t, a, b)
+    out = np.full((3,) + span.shape, np.inf)
+    out[:, r, w] = d, x, y
+    return out
+
+
 def project(shape, pts: np.ndarray):
-    """Global nearest point on the curved pieces: (distances (n,), points (n, 2))."""
+    """Global nearest point on the curved pieces: (distances (n,), points (n, 2)).
+
+    The two-level scan of the module docstring gives the full scan's answer.
+    """
     n = len(pts)
+    if n == 0:
+        return np.empty(0), np.empty((0, 2))
     pieces, lo, hi, valid = _window_bounds(shape, pts)
     hi = np.where(valid, hi, lo)
-    w = len(pieces)
-    qx, qy = pts[:, 0, None], pts[:, 1, None]
-    seeds, dm, d0, dp = (np.empty((n, w)) for _ in range(4))
+    span = hi - lo
+    kept, bound = [], np.empty(valid.shape)
     for s in range(0, n, CHUNK):
         blk = slice(s, s + CHUNK)
-        ts, _, _, d = _scan(shape, pieces, lo[blk], hi[blk], pts[blk])
-        i = np.argmin(d, axis=2)[..., None]
-        im, ip = _neighbours(i, shape._scan, shape._closed)
-        seeds[blk] = np.take_along_axis(ts, i, axis=2)[..., 0]
-        dm[blk], d0[blk], dp[blk] = (np.take_along_axis(d, k, axis=2)[..., 0] for k in (im, i, ip))
-    step = (hi - lo) / _unit_scan(shape._closed, shape._scan)[1]
-    a, b = _brackets(seeds, step, lo, hi, shape._closed)
-    seeds = _vertex(seeds, step, dm, d0, dp)
-    _, x, y, d = refine(shape._curve, pieces, qx, qy, seeds, a, b)
-    j = np.argmin(np.where(valid, d, np.inf), axis=1)
+        r, w, i, bound[blk] = _culled_scan(shape, pieces, lo[blk], hi[blk], span[blk],
+                                           valid[blk], pts[blk])
+        kept.append((r + s, w, i))
+    r, w, i = (np.concatenate(v) for v in zip(*kept))
+    d, x, y = _refined(shape, pieces, lo, hi, span, pts, r, w, i)
+    late = valid & (bound <= d.min(axis=1, keepdims=True))
+    if late.any():
+        r, w = (v[:, None] for v in np.nonzero(late))
+        j = np.arange(shape._scan)
+        i = np.concatenate([
+            np.argmin(_distances(shape, pieces, lo, span, pts, r[c], w[c], j)[1], axis=1)
+            for c in (slice(s, s + CHUNK) for s in range(0, len(r), CHUNK))])
+        d[late], x[late], y[late] = _refined(shape, pieces, lo, hi, span, pts,
+                                             r[:, 0], w[:, 0], i)[:, late]
+    j = np.argmin(d, axis=1)
     rows = np.arange(n)
     return d[rows, j], np.stack([x[rows, j], y[rows, j]], axis=1)
 
@@ -180,7 +285,7 @@ def candidates(shape, pts: np.ndarray):
         pieces, lo, hi, valid = pieces[used], lo[:, used], hi[:, used], valid[:, used]
     hi = np.where(valid, hi, lo)
     closed = shape._closed
-    ts, sx, sy, ds = _scan(shape, pieces, lo, hi, pts)
+    ts, sx, sy, ds = _scan(shape, pieces, lo, hi, pts, _unit_scan(closed, shape._scan)[0])
     step = (hi - lo) / _unit_scan(closed, shape._scan)[1]
     r, w, i = np.nonzero(_local_minima(ds, closed) & valid[..., None])
     im, ip = _neighbours(i, shape._scan, closed)

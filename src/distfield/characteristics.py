@@ -50,10 +50,12 @@ def trace(shape: Shape, x, dt: float, t_max: float,
           tol: float = 1e-8) -> CharacteristicPath:
     """Explicit stepping x_{k+1} = x_k + dt * grad d(x_k) from x until a stop.
 
-    Stops with MedialHit when the next sample is medial at tolerance tol, when
-    the gradient ceases to exist there, or when the distance stops increasing
-    (the step overshot the medial axis, which distance growth brackets to
-    within dt); with MaxTime at t >= t_max.
+    Stops with MedialHit when the next sample is medial at tolerance tol, or,
+    without keeping the next sample, when the distance stops increasing or
+    the gradient there turns against the current one (the step overshot the
+    medial axis, which both tests bracket to within dt); with GradientAbsent
+    when the gradient ceases to exist at the next sample; with MaxTime at
+    t >= t_max.
     """
     x = as_point(x, shape.dim)
     if dt <= 0:
@@ -79,6 +81,12 @@ def trace(shape: Shape, x, dt: float, t_max: float,
             # Overshot: the distance can only increase along a characteristic.
             stop_reason = MEDIAL_HIT
             break
+        g_next = None if res.multiplicity >= 2 else gradient_from_result(shape, nxt, res)
+        if g_next is not None and float(g_next @ g) < 0.0:
+            # Crossed the medial axis obliquely: d still grows along the ridge,
+            # but the gradient on the far side points back across it.
+            stop_reason = MEDIAL_HIT
+            break
         t += step
         times.append(t)
         points.append(nxt)
@@ -86,7 +94,6 @@ def trace(shape: Shape, x, dt: float, t_max: float,
         if res.multiplicity >= 2:
             stop_reason = MEDIAL_HIT
             break
-        g_next = gradient_from_result(shape, nxt, res)
         if g_next is None:
             stop_reason = GRADIENT_ABSENT
             break

@@ -172,13 +172,6 @@ def is_medial(shape: Shape, x, tol: float = DEFAULT_TOL) -> bool:
     return nearest_points(shape, x, tol).multiplicity >= 2
 
 
-def brute_force_distance(shape: Shape, x, spacing: float) -> float:
-    """Independent oracle: unsigned distance via dense boundary sampling."""
-    x = as_point(x, shape.dim)
-    samples = shape.boundary_sample(spacing)
-    return float(np.min(np.linalg.norm(samples - x, axis=1)))
-
-
 def brute_force_distance_many(shape: Shape, pts, spacing: float,
                               chunk: int = 256) -> np.ndarray:
     """Vectorized brute-force unsigned distances against one boundary sampling."""

@@ -113,7 +113,11 @@ class Shape:
       closed piece spans one turn about any parameter;
     * ``_orient[piece]`` is +1 where the inner normal is c'(t) turned a
       quarter counter-clockwise, -1 where it is turned clockwise;
-    * ``_scan`` is the number of scan samples per window.
+    * ``_scan`` is the number of scan samples per window;
+    * ``_speed_bound(piece, t_lo, t_hi)`` bounds the speed |c'(t)| of the
+      pieces ``piece`` over [t_lo, t_hi] from above (arrays broadcasting
+      together); the scan of ``project_many`` culls with it, so a bound below
+      the speed anywhere can change answers.
     """
 
     dim: int = 2
@@ -303,6 +307,9 @@ class Disk(Shape):
         r = self.radius
         x, y = self.center[0] + r * c, self.center[1] + r * s
         return (x, y, -r * s, r * c, -r * c, -r * s) if derivs else (x, y)
+
+    def _speed_bound(self, piece, t_lo, t_hi):
+        return self.radius
 
     def _windows(self, pts):
         return _ONE_TURN
@@ -622,6 +629,9 @@ class Ellipse(Shape):
         x, y = self.center[0] + a * c, self.center[1] + b * s
         return (x, y, -a * s, b * c, -a * c, -b * s) if derivs else (x, y)
 
+    def _speed_bound(self, piece, t_lo, t_hi):
+        return float(np.max(self.semi_axes))
+
     def _windows(self, pts):
         return _ONE_TURN
 
@@ -689,13 +699,13 @@ class Cusp(Shape):
         pts = as_points(pts, 2)
         return pts[:, 0] > np.abs(pts[:, 1]) ** (1.0 + self.alpha)
 
-    def _speed_max(self, t_hi: float) -> float:
-        ex = 1.0 + self.alpha
-        return math.sqrt(1.0 + (ex * t_hi**self.alpha) ** 2)
+    def _speed_bound(self, piece, t_lo, t_hi):
+        # The speed sqrt(1 + ((1 + alpha) t^alpha)^2) grows with t.
+        return np.sqrt(1.0 + ((1.0 + self.alpha) * t_hi**self.alpha) ** 2)
 
     def boundary_sample_with_normals(self, spacing: float):
         t_hi = self.extent
-        n = _spacing_count(t_hi * self._speed_max(t_hi), spacing)
+        n = _spacing_count(t_hi * self._speed_bound(0, 0.0, t_hi), spacing)
         ts = np.linspace(0.0, t_hi, n)
         ex = 1.0 + self.alpha
         up = np.stack([ts**ex, ts], axis=-1)
@@ -810,6 +820,12 @@ class Spiral(Shape):
         fpp = fp * (-(self.beta + 1.0) / (1.0 + th) if self.wall == "power" else -self.beta)
         return (x, y, fp * c - y, fp * s + x,
                 (fpp - f) * c - 2.0 * fp * s, (fpp - f) * s + 2.0 * fp * c)
+
+    def _speed_bound(self, piece, t_lo, t_hi):
+        # The speed |c'| = hypot(f, f') at theta = t + pi piece falls with t:
+        # both wall families have f and |f'| decreasing.
+        th = t_lo + math.pi * piece
+        return np.hypot(self.f(th), self.f_prime(th))
 
     def _windings(self, pts: np.ndarray):
         """Radii (n,) and the three unwound angles (n, 3) nearest each query's winding."""

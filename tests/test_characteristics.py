@@ -118,3 +118,16 @@ def test_every_sample_inside_domain(ellipse21):
     path = trace(ellipse21, (1.9, 0.02), dt=1e-3, t_max=1.0, tol=2e-3)
     assert np.all(path.distances > 0)
     assert ellipse21.contains_many(path.points).all()
+
+
+def test_ellipse_trace_stops_where_it_crosses_the_medial_axis(ellipse21):
+    # The path meets the medial segment y = 0 obliquely at t ~ 0.31.  Past it,
+    # d still grows along the ridge but the gradient points back across, so
+    # the step that crosses is not kept.
+    dt = 1e-2
+    path = trace(ellipse21, (-0.66392, 0.30787), dt=dt, t_max=4.0)
+    assert path.stop_reason == "MedialHit"
+    assert abs(path.stop_time - 0.31) <= dt
+    assert np.all(path.points[:, 1] > 0.0)
+    rep = verify_characteristic(ellipse21, path)
+    assert rep["max_growth_residual"] <= 1e-6
