@@ -91,9 +91,6 @@ class GridField:
     def values_nd(self) -> np.ndarray:
         return self.values.reshape(self.spec.dims)
 
-    def frozen_nd(self) -> np.ndarray:
-        return self.frozen.reshape(self.spec.dims)
-
 
 def _march_region(dims, h: float, alive: np.ndarray, seed_idx: np.ndarray,
                   seed_val: np.ndarray):
@@ -441,25 +438,23 @@ class GridErrorReport:
     order_estimate: float | None = None
 
 
-def grid_error(field: GridField, shape: Shape, refined: GridField | None = None,
-               where: np.ndarray | None = None) -> GridErrorReport:
+def grid_error(field: GridField, shape: Shape,
+               refined: GridField | None = None) -> GridErrorReport:
     """Per-node error against the exact signed distance.
 
     ``refined`` (same box, half the spacing) adds the empirical convergence
-    order log2(max_err_h / max_err_h/2).  ``where`` restricts the comparison.
+    order log2(max_err_h / max_err_h/2).
     """
-    def max_mean(fld, mask):
+    def max_mean(fld):
         exact = signed_distance_many(shape, fld.spec.nodes())
         err = np.abs(fld.values - exact)
         ok = np.isfinite(fld.values)
-        if mask is not None:
-            ok &= mask
         return float(np.max(err[ok])), float(np.mean(err[ok]))
 
-    max_abs, mean_abs = max_mean(field, where)
+    max_abs, mean_abs = max_mean(field)
     order = None
     if refined is not None:
-        r_max, _ = max_mean(refined, None)
+        r_max, _ = max_mean(refined)
         if r_max > 0 and max_abs > 0:
             order = math.log2(max_abs / r_max)
     return GridErrorReport(max_abs, mean_abs, order)

@@ -119,17 +119,19 @@ def nearest_points(shape: Shape, x, tol: float = DEFAULT_TOL) -> ProjectionResul
 
 def signed_distance(shape: Shape, x) -> float:
     """Signed distance of x to the domain boundary (positive inside)."""
-    x = as_point(x, shape.dim)
-    d, _ = shape.project_many(x[None, :])
-    return float(d[0]) if shape.contains(x) else -float(d[0])
+    return float(signed_distance_many(shape, as_point(x, shape.dim)[None, :])[0])
 
 
 def signed_distance_many(shape: Shape, pts) -> np.ndarray:
     """Vectorized signed distance."""
+    return _signed_projection(shape, pts)[0]
+
+
+def _signed_projection(shape: Shape, pts):
+    """Signed distances (n,) and nearest points (n, m); the sign is ``contains_many``'s."""
     pts = as_points(pts, shape.dim)
-    d, _ = shape.project_many(pts)
-    sign = np.where(shape.contains_many(pts), 1.0, -1.0)
-    return sign * d
+    d, proj = shape.project_many(pts)
+    return np.where(shape.contains_many(pts), 1.0, -1.0) * d, proj
 
 
 def gradient(shape: Shape, x, tol: float = DEFAULT_TOL) -> np.ndarray | None:
@@ -160,9 +162,7 @@ def gradient_many(shape: Shape, pts) -> np.ndarray:
     """Vectorized (x - p(x)) / d(x); rows near the boundary or medial axis are
     not filtered, so callers must restrict to points where the gradient exists."""
     pts = as_points(pts, shape.dim)
-    d, proj = shape.project_many(pts)
-    sign = np.where(shape.contains_many(pts), 1.0, -1.0)
-    sd = sign * d
+    sd, proj = _signed_projection(shape, pts)
     safe = np.where(np.abs(sd) < 1e-300, 1.0, sd)
     return (pts - proj) / safe[:, None]
 

@@ -35,9 +35,11 @@ from .projection import (
     signed_distance,
     signed_distance_many,
 )
-from .shapes import Shape, as_point
+from .shapes import Shape, as_point, unit_directions
 
 DIFFERENTIABILITY_TOL = 1e-3
+# Probe directions of each linear fit of ``differentiability_test``.
+PROBE_DIRECTIONS = 64
 
 
 @dataclass
@@ -71,25 +73,11 @@ class RegularityReport:
         return json.dumps(self.to_dict())
 
 
-def probe_directions(dim: int, n: int) -> np.ndarray:
-    """Deterministic low-discrepancy unit directions (equal-angle / Fibonacci)."""
-    if dim == 2:
-        ang = 2.0 * math.pi * np.arange(n) / n
-        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    k = np.arange(n) + 0.5
-    phi = np.arccos(1.0 - 2.0 * k / n)
-    theta = math.pi * (1.0 + math.sqrt(5.0)) * k
-    return np.stack(
-        [np.cos(theta) * np.sin(phi), np.sin(theta) * np.sin(phi), np.cos(phi)], axis=1
-    )
-
-
-def differentiability_test(shape: Shape, p, h0: float, rho: float, k_max: int,
-                           n_directions: int = 64) -> RegularityReport:
+def differentiability_test(shape: Shape, p, h0: float, rho: float, k_max: int) -> RegularityReport:
     """Best linear fit of d(p + h v) - d(p) over shrinking scale schedules.
 
     For each admissible scale h = h0 * rho^k the least-squares linear map g_h
-    over >= 64 unit directions is fitted and the sup residual
+    over PROBE_DIRECTIONS unit directions is fitted and the sup residual
     max_v |d(p+hv) - d(p) - h <g_h, v>| / h recorded.  Verdict: differentiable
     when the finest-scale residual drops below 1e-3.  Scales below 1e-12 or
     inside a truncation zone are dropped; if none remain, ScaleUnderflow.
@@ -97,12 +85,11 @@ def differentiability_test(shape: Shape, p, h0: float, rho: float, k_max: int,
     p = as_point(p, shape.dim)
     if h0 <= 0 or not (0.0 < rho < 1.0) or k_max < 1:
         raise ValueError("need h0 > 0, rho in (0,1), k_max >= 1")
-    n_directions = max(n_directions, 64)
     schedule = [h0 * rho**k for k in range(k_max)]
     scales = [h for h in schedule if shape.probe_scale_ok(p, h)]
     if not scales:
         raise ScaleUnderflow("no admissible probe scale at this point")
-    dirs = probe_directions(shape.dim, n_directions)
+    dirs = unit_directions(shape.dim, PROBE_DIRECTIONS)
     d_p = signed_distance(shape, p)
 
     residuals, norms = [], []

@@ -13,12 +13,12 @@ classes defined here.  Supported domains:
 * ``Cusp`` -- the planar region x1 > |x2|^(1+alpha), 0 < alpha < 1.
 
 Boundary points classify as outside: all domains follow the open-set
-convention, so ``contains`` is exact membership of the open domain.
+convention, so ``contains`` is exact membership of the open domain.  A shape
+answers membership once, in ``contains_many``; ``contains`` is its one-row case.
 
-Projection onto the boundary is closed-form for the ball, the half-space and
-the polygon.  The curved planar shapes describe their boundary once, as
-parametric pieces with per-query parameter windows (see ``Shape``), and share
-the scan + Newton engine of ``_minimize``:
+``Shape`` answers projection and inner normals once, from two descriptions of
+the boundary (see ``Shape``).  Curved pieces are parametric, with per-query
+parameter windows, and go through the scan + Newton engine of ``_minimize``:
 
 * disk rim (2-d) and ellipse -- one closed piece, window [0, 2 pi);
 * cusp -- two open branches (t^(1+alpha), +t) and (t^(1+alpha), -t), window
@@ -26,19 +26,22 @@ the scan + Newton engine of ``_minimize``:
   parameter range [0, inf);
 * spiral -- two open walls f(t) (cos t, sin t) and f(t + pi) (cos t, sin t),
   three windows of width 2 pi around the windings nearest the query,
-  parameter range [theta_min, theta_max - pi]; the two end caps are segments
-  with closed-form feet and normals.
+  parameter range [theta_min, theta_max - pi].
 
-The same description gives their boundary geometry.  A boundary point is
-located as the engine's nearest candidate (piece, t); the inner normal there
-is c'(t) turned a quarter turn, counter-clockwise on the disk rim, the
-ellipse, the cusp's lower branch and the spiral's outer wall, clockwise on the
-cusp's upper branch and the spiral's inner wall; a chi window is a parameter
-interval about t.  The ball, the half-space and the polygon keep closed forms.
+Straight pieces have closed-form feet and normals, given by ``_feet``: the
+half-space's plane, the polygon's edges and the spiral's two end caps.
+
+The curve description gives the boundary geometry too.  A boundary point off
+the straight pieces is located as the engine's nearest candidate (piece, t);
+the inner normal there is c'(t) turned a quarter turn, counter-clockwise on the
+disk rim, the ellipse, the cusp's lower branch and the spiral's outer wall,
+clockwise on the cusp's upper branch and the spiral's inner wall; a chi window
+is a parameter interval about t.  The ball keeps its closed forms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields
 
@@ -49,12 +52,18 @@ from .errors import (
     DimensionMismatch,
     InvalidSpec,
     NotC1,
+    NotC1InNeighborhood,
     NotOnBoundary,
+    PreconditionViolated,
     TruncationExceeded,
 )
 
 # A point counts as lying on the boundary within this distance.
 ON_BOUNDARY_TOL = 1e-9
+
+# Most points that one boundary sampling may hold; a finer spacing is refused
+# before anything is allocated.
+MAX_BOUNDARY_SAMPLES = 10**7
 
 # Representative density cap: more than this many tol-separated minimizer
 # clusters are reported as a continuum (e.g. the center of a disk).
@@ -94,11 +103,22 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class Shape:
     """Common interface of the domains.
 
-    Every shape implements ``contains``/``contains_many`` and the boundary
-    sampling.  A shape with a closed-form projection overrides
-    ``projection_candidates``, ``project_many``, ``inner_normal`` and
-    ``boundary_window``.  A curved planar shape instead describes its boundary
-    once and inherits all four from the parametric engine:
+    Every shape implements ``contains_many``, ``bbox`` and the boundary
+    sampling.  ``Shape`` answers membership of one point (``contains``),
+    projection (``project_many``, ``projection_candidates``) and inner normals
+    (``inner_normal``) once, from two descriptions of the boundary.
+
+    Straight pieces with closed-form feet come in through one hook:
+
+    * ``_feet(pts)`` returns distances (n, k), feet (n, k, m) and inner
+      normals (k, m) of the queries on the k straight pieces (none by
+      default).  ``project_many`` takes the first minimum over the engine's
+      answer on the curved pieces and then the feet in this order;
+      ``projection_candidates`` lists each row's feet after the engine's
+      candidates; ``inner_normal`` on a straight piece is that piece's normal.
+
+    Curved planar pieces are described once for the parametric engine
+    (``_curved`` is False on a shape without them):
 
     * ``_curve(piece, t)`` returns ``(x, y, x', y', x'', y'')`` of the pieces
       ``piece`` (an integer array broadcasting against ``t``) at ``t``, and
@@ -118,15 +138,24 @@ class Shape:
       pieces ``piece`` over [t_lo, t_hi] from above (arrays broadcasting
       together); the scan of ``project_many`` culls with it, so a bound below
       the speed anywhere can change answers.
+
+    The same description gives ``boundary_window``; a shape without curved
+    pieces overrides it.
     """
 
     dim: int = 2
+    _curved = True
     _closed = False
     _scan = SCAN_SAMPLES
     _orient = np.array([1.0])
 
     # -- membership ---------------------------------------------------------
     def contains(self, x) -> bool:
+        """Membership of the point x: ``contains_many`` on one row."""
+        return bool(self.contains_many(as_point(x, self.dim)[None, :])[0])
+
+    def contains_many(self, pts) -> np.ndarray:
+        """Membership (n,) of the open domain for each row of pts."""
         raise NotImplementedError
 
     def bbox(self) -> tuple[np.ndarray, np.ndarray]:
@@ -149,6 +178,11 @@ class Shape:
         p = as_point(p, self.dim)
         if self._at_corner(p):
             raise NotC1(f"the boundary has a corner at {p.tolist()}")
+        d, _, normals = self._feet(p[None, :])
+        if d.shape[1] and np.min(d) <= ON_BOUNDARY_TOL:
+            return normals[np.argmin(d[0])].copy()
+        if not self._curved:
+            raise NotOnBoundary(f"point {p.tolist()} is {np.min(d):.3g} from the boundary")
         return self._normals(*self._locate(p))
 
     def _at_corner(self, p: np.ndarray) -> bool:
@@ -181,6 +215,10 @@ class Shape:
         return self._points(piece, ts), self._normals(piece, ts)
 
     # -- projection support ---------------------------------------------------
+    def _feet(self, pts: np.ndarray):
+        """Distances (n, k), feet (n, k, m) and inner normals (k, m) on the straight pieces."""
+        return np.empty((len(pts), 0)), np.empty((len(pts), 0, self.dim)), np.empty((0, self.dim))
+
     def projection_candidates(self, pts, tol: float):
         """Nearest-boundary-point candidates of a block of queries (n, m).
 
@@ -188,22 +226,40 @@ class Shape:
         query row, distance and point (k, m), and per query a flag (n,) that
         the near-optimal set is a whole boundary stretch too dense to
         enumerate (the ball centre).  Candidates of one row keep a fixed
-        order, which breaks distance ties.  Every refined local minimizer is a
-        candidate, with flat stretches represented by their scan samples.  One
-        scan serves the whole block, so callers pass blocks of at most
-        ``_minimize.CHUNK`` rows.
+        order, which breaks distance ties: the engine's, then the feet.  Every
+        refined local minimizer is a candidate, with flat stretches
+        represented by their scan samples.  One scan serves the whole block,
+        so callers pass blocks of at most ``_minimize.CHUNK`` rows.
         """
         pts = as_points(pts, self.dim)
-        rows, d, points, _, _ = candidates(self, pts)
-        return rows, d, points, np.zeros(len(pts), dtype=bool)
+        n = len(pts)
+        d, feet, _ = self._feet(pts)
+        rows = np.repeat(np.arange(n), d.shape[1])
+        d, points = d.ravel(), feet.reshape(-1, self.dim)
+        if self._curved:
+            c_rows, c_d, c_points, _, _ = candidates(self, pts)
+            rows, d, points = (np.concatenate([c_rows, rows]), np.concatenate([c_d, d]),
+                               np.concatenate([c_points, points]))
+        return rows, d, points, np.zeros(n, dtype=bool)
 
     def _answerable(self, pts: np.ndarray) -> np.ndarray:
         """Rows (n,) that a distance query answers rather than rejects."""
         return np.ones(len(pts), dtype=bool)
 
     def project_many(self, pts) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized global nearest point: (distances (n,), points (n, m))."""
-        return project(self, as_points(pts, self.dim))
+        """Vectorized global nearest point: (distances (n,), points (n, m)).
+
+        The first minimum over the engine's answer and the feet, in that order.
+        """
+        pts = as_points(pts, self.dim)
+        d, feet, _ = self._feet(pts)
+        if self._curved:
+            d_c, p_c = project(self, pts)
+            d = np.concatenate([d_c[:, None], d], axis=1)
+            feet = np.concatenate([p_c[:, None, :], feet], axis=1)
+        rows = np.arange(len(pts))
+        i = np.argmin(d, axis=1)
+        return d[rows, i], feet[rows, i]
 
     def _points(self, piece, t) -> np.ndarray:
         return np.stack(self._curve(piece, t, derivs=False), axis=-1)
@@ -232,10 +288,37 @@ class Shape:
 _ONE_TURN = (np.zeros(1, dtype=int), 0.0, 2.0 * math.pi)
 
 
-def _spacing_count(length: float, spacing: float) -> int:
-    if spacing <= 0:
+def _positive(spacing: float) -> float:
+    if not spacing > 0:
         raise InvalidSpec("spacing must be positive")
+    return spacing
+
+
+def _check_count(count: float, spacing: float):
+    """Refuse a sampling of more than MAX_BOUNDARY_SAMPLES points."""
+    if not count <= MAX_BOUNDARY_SAMPLES:
+        raise PreconditionViolated(
+            f"spacing {spacing:g} asks for {count:.3g} boundary samples, more than "
+            f"the {MAX_BOUNDARY_SAMPLES:.0e} allowed")
+
+
+def _spacing_count(length: float, spacing: float) -> int:
+    _check_count(length / _positive(spacing), spacing)
     return max(2, int(math.ceil(length / spacing)) + 1)
+
+
+def unit_directions(dim: int, n: int) -> np.ndarray:
+    """n deterministic unit directions (n, dim): equal angles in the plane, a
+    Fibonacci sphere in R^3."""
+    if dim == 2:
+        ang = 2.0 * math.pi * np.arange(n) / n
+        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    k = np.arange(n) + 0.5
+    phi = np.arccos(1.0 - 2.0 * k / n)
+    theta = math.pi * (1.0 + math.sqrt(5.0)) * k
+    return np.stack(
+        [np.cos(theta) * np.sin(phi), np.sin(theta) * np.sin(phi), np.cos(phi)], axis=1
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -262,10 +345,6 @@ class Disk(Shape):
         object.__setattr__(self, "radius", float(radius))
         object.__setattr__(self, "dim", center.shape[0])
 
-    def contains(self, x) -> bool:
-        p = as_point(x, self.dim)
-        return float(np.linalg.norm(p - self.center)) < self.radius
-
     def contains_many(self, pts) -> np.ndarray:
         pts = as_points(pts, self.dim)
         return np.linalg.norm(pts - self.center, axis=1) < self.radius
@@ -273,18 +352,12 @@ class Disk(Shape):
     def boundary_sample_with_normals(self, spacing: float):
         if self.dim == 2:
             n = _spacing_count(2.0 * math.pi * self.radius, spacing) - 1
-            ang = 2.0 * math.pi * np.arange(n) / n
-            rim = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-            return self.center + self.radius * rim, -rim
-        # Fibonacci sphere; spacing is approximate for the 3-d ball.
-        n = max(8, int(math.ceil(5.2 * (self.radius / spacing) ** 2)))
-        k = np.arange(n) + 0.5
-        phi = np.arccos(1.0 - 2.0 * k / n)
-        theta = math.pi * (1.0 + math.sqrt(5.0)) * k
-        rim = np.stack(
-            [np.cos(theta) * np.sin(phi), np.sin(theta) * np.sin(phi), np.cos(phi)],
-            axis=1,
-        )
+        else:
+            # Fibonacci sphere; spacing is approximate for the 3-d ball.
+            q = self.radius / _positive(spacing)
+            _check_count(5.2 * q * q, spacing)   # q**2 would raise on overflow
+            n = max(8, int(math.ceil(5.2 * q**2)))
+        rim = unit_directions(self.dim, n)
         return self.center + self.radius * rim, -rim
 
     def bbox(self):
@@ -389,6 +462,8 @@ class HalfSpace(Shape):
         object.__setattr__(self, "dim", n.shape[0])
         object.__setattr__(self, "extent", float(extent))
 
+    _curved = False
+
     def _height(self, pts: np.ndarray) -> np.ndarray:
         return _rowdot(pts, self.unit_normal) - self.offset
 
@@ -401,9 +476,6 @@ class HalfSpace(Shape):
         t1 /= np.linalg.norm(t1)
         return np.stack([t1, np.cross(n, t1)])
 
-    def contains(self, x) -> bool:
-        return float(self._height(as_point(x, self.dim)[None, :])[0]) > 0.0
-
     def contains_many(self, pts) -> np.ndarray:
         return self._height(as_points(pts, self.dim)) > 0.0
 
@@ -411,6 +483,7 @@ class HalfSpace(Shape):
         anchor = self.offset * self.unit_normal
         tb = self._tangent_basis()
         n = _spacing_count(2.0 * self.extent, spacing)
+        _check_count(n ** (self.dim - 1), spacing)
         ts = np.linspace(-self.extent, self.extent, n)
         if self.dim == 2:
             pts = anchor + ts[:, None] * tb[0]
@@ -424,31 +497,17 @@ class HalfSpace(Shape):
         anchor = self.offset * self.unit_normal
         return anchor - 2.0, anchor + 2.0
 
-    def inner_normal(self, p) -> np.ndarray:
-        p = as_point(p, self.dim)
-        if abs(float(self._height(p[None, :])[0])) > ON_BOUNDARY_TOL:
-            raise NotOnBoundary("point is not on the bounding hyperplane")
-        return self.unit_normal.copy()
-
-    def projection_candidates(self, pts, tol: float):
-        pts = as_points(pts, self.dim)
-        d, proj = self.project_many(pts)
-        return np.arange(len(pts)), d, proj, np.zeros(len(pts), dtype=bool)
-
-    def project_many(self, pts):
-        pts = as_points(pts, self.dim)
+    def _feet(self, pts):
         t = self._height(pts)
-        return np.abs(t), pts - t[:, None] * self.unit_normal
+        return (np.abs(t)[:, None], (pts - t[:, None] * self.unit_normal)[:, None, :],
+                self.unit_normal[None, :])
 
     def boundary_window(self, p, r: float, n: int):
         p = as_point(p, self.dim)
-        if abs(float(self._height(p[None, :])[0])) > ON_BOUNDARY_TOL:
-            raise NotOnBoundary("point is not on the bounding hyperplane")
-        tb = self._tangent_basis()
+        normal = self.inner_normal(p)
         ts = np.linspace(-r, r, n)
-        pts = p + ts[:, None] * tb[0]
-        normals = np.broadcast_to(self.unit_normal, pts.shape).copy()
-        return pts, normals
+        pts = p + ts[:, None] * self._tangent_basis()[0]
+        return pts, np.broadcast_to(normal, pts.shape).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +552,17 @@ class Polygon(Shape):
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "dim", 2)
 
+    _curved = False
+
     def _edges(self):
         return self.vertices, np.roll(self.vertices, -1, axis=0)
 
-    def contains(self, x) -> bool:
-        return bool(self.contains_many(as_point(x, 2)[None, :])[0])
+    @functools.cached_property
+    def _inward(self) -> np.ndarray:
+        """Inner unit normals (n_edges, 2) of the edges."""
+        a, b = self._edges()
+        units = [e / np.linalg.norm(e) for e in b - a]
+        return np.array([[-e[1], e[0]] for e in units])
 
     def contains_many(self, pts) -> np.ndarray:
         pts = as_points(pts, 2)
@@ -514,13 +579,11 @@ class Polygon(Shape):
     def boundary_sample_with_normals(self, spacing: float):
         pts, normals = [], []
         a, b = self._edges()
-        for pa, pb in zip(a, b):
-            length = float(np.linalg.norm(pb - pa))
-            n = _spacing_count(length, spacing)
+        counts = [_spacing_count(float(np.linalg.norm(pb - pa)), spacing) for pa, pb in zip(a, b)]
+        _check_count(sum(counts), spacing)
+        for pa, pb, inward, n in zip(a, b, self._inward, counts):
             ts = np.linspace(0.0, 1.0, n)[:-1]  # endpoint opens the next edge
             seg = pa + ts[:, None] * (pb - pa)
-            e = (pb - pa) / length
-            inward = np.array([-e[1], e[0]])
             pts.append(seg)
             normals.append(np.broadcast_to(inward, seg.shape).copy())
         return np.concatenate(pts), np.concatenate(normals)
@@ -534,19 +597,6 @@ class Polygon(Shape):
         mid, half = 0.5 * (lo + hi), float(np.max(hi - lo))
         return mid - half, mid + half
 
-    def inner_normal(self, p) -> np.ndarray:
-        p = as_point(p, 2)
-        if self._at_corner(p):
-            raise NotC1("polygon boundary has a corner at this point")
-        a, b = self._edges()
-        d, foot, _ = self._edge_feet(p[None, :])
-        i = int(np.argmin(d[0]))
-        if d[0, i] > ON_BOUNDARY_TOL:
-            raise NotOnBoundary("point is not on the polygon boundary")
-        e = b[i] - a[i]
-        e = e / np.linalg.norm(e)
-        return np.array([-e[1], e[0]])
-
     def _edge_feet(self, pts: np.ndarray):
         """Distances (n, n_edges) and feet (n, n_edges, 2) to every edge."""
         a, b = self._edges()
@@ -558,37 +608,24 @@ class Polygon(Shape):
         d = np.linalg.norm(pts[:, None, :] - feet, axis=2)
         return d, feet, t
 
-    def projection_candidates(self, pts, tol: float):
-        pts = as_points(pts, 2)
+    def _feet(self, pts):
         d, feet, _ = self._edge_feet(pts)
-        rows = np.repeat(np.arange(len(pts)), d.shape[1])
-        return rows, d.ravel(), feet.reshape(-1, 2), np.zeros(len(pts), dtype=bool)
-
-    def project_many(self, pts):
-        pts = as_points(pts, 2)
-        d, feet, _ = self._edge_feet(pts)
-        i = np.argmin(d, axis=1)
-        rows = np.arange(len(pts))
-        return d[rows, i], feet[rows, i]
+        return d, feet, self._inward
 
     def boundary_window(self, p, r: float, n: int):
         p = as_point(p, 2)
         if np.min(np.linalg.norm(self.vertices - p, axis=1)) <= r:
-            from .errors import NotC1InNeighborhood
-
             raise NotC1InNeighborhood("a polygon vertex lies inside the window")
+        inward = self.inner_normal(p)
         a, b = self._edges()
         d, _, t = self._edge_feet(p[None, :])
         i = int(np.argmin(d[0]))
-        if d[0, i] > ON_BOUNDARY_TOL:
-            raise NotOnBoundary("point is not on the polygon boundary")
         e = b[i] - a[i]
         length = float(np.linalg.norm(e))
         e = e / length
         s0 = t[0, i] * length
         ss = np.clip(s0 + np.linspace(-r, r, n), 0.0, length)
         pts = a[i] + ss[:, None] * e
-        inward = np.array([-e[1], e[0]])
         return pts, np.broadcast_to(inward, pts.shape).copy()
 
 
@@ -634,9 +671,6 @@ class Ellipse(Shape):
 
     def _windows(self, pts):
         return _ONE_TURN
-
-    def contains(self, x) -> bool:
-        return float(self._implicit(as_point(x, 2)[None, :])[0]) < 0.0
 
     def contains_many(self, pts) -> np.ndarray:
         return self._implicit(as_points(pts, 2)) < 0.0
@@ -691,10 +725,6 @@ class Cusp(Shape):
         d_ub = np.minimum(np.hypot(x1, ax2), np.abs(ax2 ** (1.0 + self.alpha) - x1))
         return np.array([0, 1]), 0.0, (ax2 + d_ub + 1e-9)[:, None]
 
-    def contains(self, x) -> bool:
-        p = as_point(x, 2)
-        return p[0] > abs(p[1]) ** (1.0 + self.alpha)
-
     def contains_many(self, pts) -> np.ndarray:
         pts = as_points(pts, 2)
         return pts[:, 0] > np.abs(pts[:, 1]) ** (1.0 + self.alpha)
@@ -706,6 +736,7 @@ class Cusp(Shape):
     def boundary_sample_with_normals(self, spacing: float):
         t_hi = self.extent
         n = _spacing_count(t_hi * self._speed_bound(0, 0.0, t_hi), spacing)
+        _check_count(2 * n - 1, spacing)
         ts = np.linspace(0.0, t_hi, n)
         ex = 1.0 + self.alpha
         up = np.stack([ts**ex, ts], axis=-1)
@@ -722,6 +753,8 @@ class Cusp(Shape):
 # ---------------------------------------------------------------------------
 
 _TWO_PI = 2.0 * math.pi
+# Parameter intervals of the bound on the size of a spiral's boundary sample.
+WALL_INTERVALS = 4096
 
 
 @dataclass(frozen=True)
@@ -842,8 +875,8 @@ class Spiral(Shape):
         hi = np.minimum(self.theta_end, theta + math.pi)
         return np.array([0, 0, 0, 1, 1, 1]), np.tile(lo, 2), np.tile(hi, 2)
 
-    def _cap_feet(self, pts: np.ndarray):
-        """Distances (n, 2) and feet (n, 2, 2) of the queries on the two end caps."""
+    def _feet(self, pts: np.ndarray):
+        # The two end caps are segments.
         ds, feet = [], []
         for which in (0, 1):
             p0, p1 = self._cap_segment(which)
@@ -851,7 +884,8 @@ class Spiral(Shape):
             t = np.clip(_rowdot(pts - p0, e) / float(e @ e), 0.0, 1.0)
             feet.append(p0 + t[:, None] * e)
             ds.append(np.linalg.norm(pts - feet[-1], axis=1))
-        return np.stack(ds, axis=1), np.stack(feet, axis=1)
+        return (np.stack(ds, axis=1), np.stack(feet, axis=1),
+                np.stack([self._cap_normal(0), self._cap_normal(1)]))
 
     def _cap_segment(self, which: int):
         if which == 0:
@@ -865,9 +899,6 @@ class Spiral(Shape):
         e = np.array([math.cos(ang), math.sin(ang)])
         return e * r0, e * r1
 
-    def contains(self, x) -> bool:
-        return bool(self.contains_many(as_point(x, 2)[None, :])[0])
-
     def contains_many(self, pts) -> np.ndarray:
         r, theta = self._windings(as_points(pts, 2))
         r = r[:, None]
@@ -876,10 +907,19 @@ class Spiral(Shape):
         return np.any(ok & (self.f(th + math.pi) < r) & (r < self.f(th)), axis=1)
 
     def boundary_sample_with_normals(self, spacing: float):
+        # A wall step moves theta by 0.9 spacing / speed.  The speed falls with
+        # theta, so on each of WALL_INTERVALS equal parameter intervals it is at
+        # most its value at the start, which bounds the steps in the interval.
+        edges = np.linspace(self.theta_min, self.theta_end, WALL_INTERVALS + 1)
+        speeds = self._speed_bound(np.array([[0], [1]]), edges[:-1], edges[1:])
+        arc = np.sum(speeds * np.diff(edges))
+        caps = [_spacing_count(float(np.linalg.norm(p1 - p0)), spacing)
+                for p0, p1 in map(self._cap_segment, (0, 1))]
+        _check_count(arc / (0.9 * spacing) + 2 * (WALL_INTERVALS + 2) + sum(caps), spacing)
         pts, normals = [], []
         for inner in (False, True):
             theta = self.theta_min
-            cur_t, cur_p, cur_n = [], [], []
+            cur_t = []
             while theta <= self.theta_end:
                 cur_t.append(theta)
                 shift = math.pi if inner else 0.0
@@ -892,9 +932,8 @@ class Spiral(Shape):
                 ts = np.append(ts, self.theta_end)
             pts.append(self._points(int(inner), ts))
             normals.append(self._normals(int(inner), ts))
-        for which in (0, 1):
+        for which, n in zip((0, 1), caps):
             p0, p1 = self._cap_segment(which)
-            n = _spacing_count(float(np.linalg.norm(p1 - p0)), spacing)
             ts = np.linspace(0.0, 1.0, n)
             seg = p0 + ts[:, None] * (p1 - p0)
             pts.append(seg)
@@ -914,46 +953,23 @@ class Spiral(Shape):
         r = float(self.f(self.theta_min)) * 1.2
         return np.array([-r, -r]), np.array([r, r])
 
-    def inner_normal(self, p) -> np.ndarray:
-        # The end caps are segments, not pieces of the engine.
-        p = as_point(p, 2)
-        cap_d, _ = self._cap_feet(p[None, :])
-        which = int(np.argmin(cap_d[0]))
-        if cap_d[0, which] > ON_BOUNDARY_TOL or self._at_corner(p):
-            return super().inner_normal(p)
-        return self._cap_normal(which)
-
+    # The apex, a boundary point of the untruncated domain, is its own answer.
     def projection_candidates(self, pts, tol: float):
-        # The engine's wall candidates, then the two cap feet of each row; the
-        # apex (a boundary point of the untruncated domain) is its own answer.
         pts = as_points(pts, 2)
-        n = len(pts)
-        live = np.flatnonzero(pts.any(axis=1))
-        walls = pts[live]
-        rows, d, points, _, _ = candidates(self, walls)
-        cap_d, cap_p = self._cap_feet(walls)
-        rows = np.concatenate([live[rows], np.repeat(live, 2)])
-        d = np.concatenate([d, cap_d.ravel()])
-        points = np.concatenate([points, cap_p.reshape(-1, 2)])
-        if len(live) < n:
-            apex = np.setdiff1d(np.arange(n), live)
-            rows = np.concatenate([rows, apex])
-            d = np.concatenate([d, np.zeros(len(apex))])
-            points = np.concatenate([points, np.zeros((len(apex), 2))])
-        return rows, d, points, np.zeros(n, dtype=bool)
+        live = pts.any(axis=1)
+        rows, d, points, _ = super().projection_candidates(pts[live], tol)
+        apex = np.flatnonzero(~live)
+        rows = np.concatenate([np.flatnonzero(live)[rows], apex])
+        d = np.concatenate([d, np.zeros(len(apex))])
+        points = np.concatenate([points, np.zeros((len(apex), 2))])
+        return rows, d, points, np.zeros(len(pts), dtype=bool)
 
     def project_many(self, pts):
         pts = as_points(pts, 2)
-        best_d, best_p = super().project_many(pts)
-        cap_d, cap_p = self._cap_feet(pts)
-        for which in (0, 1):
-            take = cap_d[:, which] < best_d
-            best_d[take] = cap_d[take, which]
-            best_p[take] = cap_p[take, which]
+        d, points = super().project_many(pts)
         apex = ~pts.any(axis=1)
-        best_d[apex] = 0.0
-        best_p[apex] = 0.0
-        return best_d, best_p
+        d[apex], points[apex] = 0.0, 0.0
+        return d, points
 
     def probe_scale_ok(self, p, h: float) -> bool:
         if h < 1e-12:

@@ -234,3 +234,67 @@ def test_verify_eikonal_gives_up_on_a_tiny_disk(tmp_path, capsys):
 def test_verify_eikonal_rejects_empty_sample(disk_scene, capsys):
     assert main(["verify", "eikonal", "--scene", disk_scene, "--n", "0"]) == 2
     assert capsys.readouterr().out == ""
+
+
+# The verify matrix: every property on every scene exits 0 or 1, or exits 2
+# at once with a message naming an argument that does not fit the scene.
+MATRIX_SCENES = {
+    "disk": {"type": "disk", "center": [0.0, 0.0], "radius": 1.0},
+    "ellipse": {"type": "ellipse", "semi_axes": [2.0, 1.0]},
+    "halfspace": {"type": "halfspace", "unit_normal": [1.0, 0.0], "offset": 0.0},
+    "square": {"type": "polygon", "vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]]},
+    "cusp": {"type": "cusp", "alpha": 0.5},
+    "spiral": {"type": "spiral", "beta": 1.0},
+    "ball": {"type": "disk", "center": [0.0, 0.0, 0.0], "radius": 1.0},
+}
+MATRIX_ARGS = {
+    "eikonal": ["--n", "5"],
+    "boundary-gradient": [],
+    "characteristics": [],
+    "level-distance": ["--spacing", "1e-4"],
+    "lipschitz": ["--n", "5"],
+}
+# (scene, property) -> the argument that the exit-2 message names.
+UNFIT = {("spiral", "lipschitz"): "--delta", ("ball", "level-distance"): "spacing"}
+# Open defects, fixed by the local reach of ROADMAP item 2: (scene, property)
+# -> the message of their exit 2.
+OPEN_DEFECTS = {
+    ("square", "level-distance"): "offset construction does not reach the level set",
+    ("spiral", "level-distance"): "offset construction does not reach the level set",
+    ("cusp", "level-distance"): "non-unique projection",
+}
+
+
+class OpenDefect(Exception):
+    """The known exit 2 of an OPEN_DEFECTS cell."""
+
+
+def _matrix_cells():
+    for scene in MATRIX_SCENES:
+        for prop in MATRIX_ARGS:
+            marks = ()
+            if (scene, prop) in OPEN_DEFECTS:
+                marks = pytest.mark.xfail(raises=OpenDefect, strict=True,
+                                          reason="ROADMAP item 2: " + OPEN_DEFECTS[scene, prop])
+            yield pytest.param(scene, prop, marks=marks, id=f"{scene}-{prop}")
+
+
+@pytest.mark.parametrize("scene,prop", _matrix_cells())
+def test_verify_matrix(scene, prop, tmp_path, capsys):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"shape": MATRIX_SCENES[scene]}))
+    args = MATRIX_ARGS[prop]
+    if scene == "ball" and prop == "level-distance":
+        args = []   # the default spacing
+    t0 = time.perf_counter()
+    rc = main(["verify", prop, "--scene", str(path), *args])
+    elapsed = time.perf_counter() - t0
+    out, err = capsys.readouterr()
+    if rc == 2 and (scene, prop) in OPEN_DEFECTS and OPEN_DEFECTS[scene, prop] in err:
+        raise OpenDefect(err)
+    if (scene, prop) in UNFIT:
+        assert rc == 2 and elapsed < 2.0
+        assert UNFIT[scene, prop] in err
+    else:
+        assert rc in (0, 1), err
+        assert json.loads(out)["passed"] is (rc == 0)

@@ -17,10 +17,12 @@ from distfield import (
     InvalidSpec,
     NotC1,
     Polygon,
+    PreconditionViolated,
     Spiral,
     TruncationExceeded,
     make_shape,
     shape_spec,
+    shapes,
     signed_distance,
     signed_distance_many,
 )
@@ -392,3 +394,56 @@ def test_boundary_window_stops_at_the_end_of_an_open_piece():
         assert np.max(d) <= 1e-15
         assert np.min(np.linalg.norm(pts - _boundary_point(spiral, piece, spiral.theta_end)[0],
                                      axis=1)) <= 1e-15
+
+
+# Every shape type, with the ball, and a boundary spacing for each.
+AGREEMENT_CASES = {
+    "disk": (Disk((0.2, -0.1), 1.3), 0.005),
+    "ball": (Disk((0.0, 0.1, 0.0), 1.0), 0.05),
+    "ellipse": (Ellipse((2.0, 1.0)), 0.01),
+    "halfspace": (HalfSpace((0.6, 0.8), 0.3), 0.01),
+    "polygon": (Polygon([(0.0, 0.0), (2.0, 0.3), (1.7, 1.9), (-0.4, 1.1)]), 0.01),
+    "cusp": (Cusp(0.5), 0.01),
+    "spiral": (Spiral(beta=1.0), 0.02),
+}
+
+
+@pytest.mark.parametrize("case", list(AGREEMENT_CASES))
+def test_scalar_queries_agree_with_the_batched_ones(case):
+    # Points within 3 ulps of the boundary: the scalar membership, and with it
+    # the sign of the scalar distance, is the batched one bit for bit.
+    shape, spacing = AGREEMENT_CASES[case]
+    pts = shape.boundary_sample(spacing)
+    pts = np.concatenate([pts * (1.0 + k * 2.0**-52) for k in range(-3, 4)])
+    assert [shape.contains(x) for x in pts] == shape.contains_many(pts).tolist()
+    some = pts[np.linspace(0, len(pts) - 1, 300).astype(int)]
+    scalar = np.array([signed_distance(shape, x) for x in some])
+    one_row = np.array([signed_distance_many(shape, x[None, :])[0] for x in some])
+    assert scalar.tobytes() == one_row.tobytes()
+    assert np.signbit(scalar).tolist() == (~shape.contains_many(some)).tolist()
+
+
+@pytest.mark.parametrize("shape,spacing", [
+    (Disk((0.0, 0.0), 1.0), 1e-3),
+    (Disk((0.0, 0.0, 0.0), 1.0), 2e-2),
+    (HalfSpace((0.6, 0.8), 0.3), 1e-2),
+    (HalfSpace((0.0, 0.0, 1.0), 0.0), 0.2),
+    (Polygon([(0.0, 0.0), (2.0, 0.3), (1.7, 1.9), (-0.4, 1.1)]), 1e-3),
+    (Ellipse((2.0, 1.0)), 1e-3),
+    (Cusp(0.5), 1e-3),
+    (Spiral(beta=1.0), 1e-3),
+    (Spiral(beta=0.3, theta_min=0.3, theta_max=40.0, wall="exp"), 1e-3),
+], ids=["disk", "ball", "halfspace", "halfspace-3d", "polygon", "ellipse", "cusp", "spiral",
+        "spiral-exp"])
+def test_boundary_sampling_refuses_too_many_points(shape, spacing, monkeypatch):
+    # Below the sampling's size, the bound refuses it before anything is
+    # allocated and names the spacing; the real bound is never approached.
+    n = len(shape.boundary_sample(spacing))
+    monkeypatch.setattr(shapes, "MAX_BOUNDARY_SAMPLES", n // 2)
+    with pytest.raises(PreconditionViolated, match=f"spacing {spacing:g} asks for"):
+        shape.boundary_sample(spacing)
+
+
+def test_boundary_sampling_bound_keeps_the_fine_samplings():
+    # The largest 2-d sampling at spacing 1e-5 that the tests and the bench use.
+    assert len(Cusp(0.5).boundary_sample(1e-5)) == 2529825 <= shapes.MAX_BOUNDARY_SAMPLES
