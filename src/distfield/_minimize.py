@@ -67,8 +67,8 @@ NEWTON_STEPS = 8
 # convergence leaves an error far below rounding.  Parameters stay below ~1e3
 # (the spiral's unwound angle), so the rounding floor of every row is below it.
 STEP_TOL = 1e-10
-# A window with more local scan minima than this is a flat stretch (a disk
-# centre): its scan samples are the answer and are not refined.
+# A window with more local scan minima than this is a flat stretch (a round
+# ellipse's centre): its scan samples are the answer and are not refined.
 PLATEAU_MINIMA = 32
 
 
@@ -269,10 +269,10 @@ def candidates(shape, pts: np.ndarray):
     One scan covers every row of ``pts`` (at most CHUNK rows, so the scan holds
     at most CHUNK * windows * samples values), and one ``refine`` call refines
     every row's local scan minima.  A window with more than PLATEAU_MINIMA
-    minima (a flat stretch, such as a disk centre) keeps its scan minima as
-    they are.  Every run of scan samples tied with the optimum holds its own
-    local scan minimum, so a flat stretch is represented without further
-    samples.
+    minima (a flat stretch, such as a round ellipse's centre) keeps its scan
+    minima as they are.  Every run of scan samples tied with the optimum holds
+    its own local scan minimum, so a flat stretch is represented without
+    further samples.
 
     Returns flat arrays (rows, dists, points, pieces, ts): each candidate's
     query row, distance, point (k, 2), and the piece and parameter it lies at,

@@ -300,8 +300,11 @@ def _verify_lipschitz(shape, args, rng) -> dict:
     delta = args.delta
     _check_delta_fits(shape, lo, hi, delta)
     box = SampleBox(lo=lo, hi=hi, d_max=args.dmax)
-    lhat = gradient_lipschitz_estimate(shape, a=0.0, delta=delta, n_pairs=args.n,
-                                       box=box, seed=args.seed)
+    try:
+        lhat = gradient_lipschitz_estimate(shape, a=0.0, delta=delta, n_pairs=args.n,
+                                           box=box, seed=args.seed)
+    except PreconditionViolated as exc:
+        raise PreconditionViolated(f"with --delta {delta:g}: {exc}") from exc
     bound = 3.0 / delta + 0.01
     return {"delta": delta, "lipschitz": lhat, "bound": bound, "passed": lhat <= bound}
 

@@ -27,8 +27,8 @@ from ._minimize import CHUNK
 from .shapes import CLUSTER_CAP, ON_BOUNDARY_TOL, Shape, as_point, as_points
 from .errors import NotC1, NotOnBoundary
 
-# Multiplicity sentinel: more clusters than CLUSTER_CAP were found, so the
-# minimizer set is reported as a continuum (e.g. the center of a disk).
+# Multiplicity sentinel: the minimizer set is a continuum, flagged by the
+# shape (a disk's centre) or holding more than CLUSTER_CAP clusters.
 CONTINUUM = 2**31 - 1
 
 DEFAULT_TOL = 1e-8

@@ -20,7 +20,7 @@ answers membership once, in ``contains_many``; ``contains`` is its one-row case.
 the boundary (see ``Shape``).  Curved pieces are parametric, with per-query
 parameter windows, and go through the scan + Newton engine of ``_minimize``:
 
-* disk rim (2-d) and ellipse -- one closed piece, window [0, 2 pi);
+* ellipse -- one closed piece, window [0, 2 pi);
 * cusp -- two open branches (t^(1+alpha), +t) and (t^(1+alpha), -t), window
   [0, t_cap(x)] with t_cap bounding |x2| plus an upper bound on the distance,
   parameter range [0, inf);
@@ -34,9 +34,9 @@ half-space's plane, the polygon's edges and the spiral's two end caps.
 The curve description gives the boundary geometry too.  A boundary point off
 the straight pieces is located as the engine's nearest candidate (piece, t);
 the inner normal there is c'(t) turned a quarter turn, counter-clockwise on the
-disk rim, the ellipse, the cusp's lower branch and the spiral's outer wall,
-clockwise on the cusp's upper branch and the spiral's inner wall; a chi window
-is a parameter interval about t.  The ball keeps its closed forms.
+ellipse, the cusp's lower branch and the spiral's outer wall, clockwise on the
+cusp's upper branch and the spiral's inner wall; a chi window is a parameter
+interval about t.  The disk and the ball answer all of this in closed form.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ ON_BOUNDARY_TOL = 1e-9
 MAX_BOUNDARY_SAMPLES = 10**7
 
 # Representative density cap: more than this many tol-separated minimizer
-# clusters are reported as a continuum (e.g. the center of a disk).
+# clusters are reported as a continuum (e.g. the centre of a circle-shaped
+# ellipse).
 CLUSTER_CAP = 64
 
 
@@ -225,7 +226,7 @@ class Shape:
         Returns flat arrays (rows, dists, points, continuum): each candidate's
         query row, distance and point (k, m), and per query a flag (n,) that
         the near-optimal set is a whole boundary stretch too dense to
-        enumerate (the ball centre).  Candidates of one row keep a fixed
+        enumerate (the disk centre).  Candidates of one row keep a fixed
         order, which breaks distance ties: the engine's, then the feet.  Every
         refined local minimizer is a candidate, with flat stretches
         represented by their scan samples.  One scan serves the whole block,
@@ -283,9 +284,18 @@ class Shape:
         """Whether distance queries on the sphere of radius h around p are reliable."""
         return h >= 1e-12
 
+    # -- identity ---------------------------------------------------------------
+    def __eq__(self, other):
+        """Shapes of one type are equal when their ``shape_spec``s are."""
+        return type(other) is type(self) and self._spec_key() == other._spec_key()
 
-# The window of a closed piece parametrized over one full turn.
-_ONE_TURN = (np.zeros(1, dtype=int), 0.0, 2.0 * math.pi)
+    def __hash__(self):
+        return hash(self._spec_key())
+
+    def _spec_key(self) -> tuple:
+        def frozen(v):
+            return tuple(map(frozen, v)) if isinstance(v, list) else v
+        return tuple((k, frozen(v)) for k, v in shape_spec(self).items())
 
 
 def _positive(spacing: float) -> float:
@@ -325,7 +335,7 @@ def unit_directions(dim: int, n: int) -> np.ndarray:
 # Disk / ball
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Disk(Shape):
     """Open disk (m=2) or ball (m=3) of given center and radius."""
 
@@ -344,6 +354,8 @@ class Disk(Shape):
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", float(radius))
         object.__setattr__(self, "dim", center.shape[0])
+
+    _curved = False
 
     def contains_many(self, pts) -> np.ndarray:
         pts = as_points(pts, self.dim)
@@ -370,28 +382,9 @@ class Disk(Shape):
             raise NotOnBoundary(f"|p - c| = {s:.12g}, expected {self.radius:.12g}")
         return (self.center - p) / s
 
-    # The 2-d rim is a parametric piece, so that flat near-optimal stretches
-    # (center and near-center queries) get the same multiplicity semantics as
-    # the other curved shapes; project_many uses the closed form.
-    _closed = True
-
-    def _curve(self, piece, t, derivs=True):
-        c, s = np.cos(t), np.sin(t)
-        r = self.radius
-        x, y = self.center[0] + r * c, self.center[1] + r * s
-        return (x, y, -r * s, r * c, -r * c, -r * s) if derivs else (x, y)
-
-    def _speed_bound(self, piece, t_lo, t_hi):
-        return self.radius
-
-    def _windows(self, pts):
-        return _ONE_TURN
-
     def projection_candidates(self, pts, tol: float):
-        if self.dim == 2:
-            return super().projection_candidates(pts, tol)
-        # 3-d ball: closed form; a query at the center is a continuum, listed
-        # by a sample of the sphere.
+        # Closed form; a query within tol/2 of the centre is a continuum, listed
+        # by a sample of the rim or sphere.
         pts = as_points(pts, self.dim)
         v = pts - self.center
         s = np.sqrt(_rowdot(v, v))
@@ -400,8 +393,7 @@ class Disk(Shape):
         proj = self.center + self.radius * v / np.where(continuum, 1.0, s)[:, None]
         if continuum.any():
             reps, _ = self.boundary_sample_with_normals(self.radius * 0.1)
-            c = np.flatnonzero(continuum)
-            keep = ~continuum
+            c, keep = np.flatnonzero(continuum), ~continuum
             rows = np.concatenate([rows[keep], np.repeat(c, len(reps))])
             d = np.concatenate([d[keep], np.linalg.norm(
                 reps[None, :, :] - pts[c, None, :], axis=2).ravel()])
@@ -418,20 +410,23 @@ class Disk(Shape):
         return np.abs(self.radius - s), proj
 
     def boundary_window(self, p, r: float, n: int):
-        if self.dim == 2:
-            return super().boundary_window(p, r, n)
-        # The spherical cap of points within r of p: polar angles up to the
-        # cap's, at equal-area radii, golden-angle azimuths about the axis.
+        # The cap of rim points within r of p, of half-angle 2 asin(r / 2R)
+        # about u = (p - c) / R.  In the plane: n equal angles strictly inside
+        # it.  On the sphere: polar angles up to it, at equal-area radii,
+        # golden-angle azimuths about u.
         u = -self.inner_normal(p)
-        e1 = np.cross(u, [1.0, 0.0, 0.0] if abs(u[0]) < 0.9 else [0.0, 1.0, 0.0])
-        e1 /= np.linalg.norm(e1)
-        e2 = np.cross(u, e1)
         cap = 2.0 * math.asin(min(1.0, 0.5 * r / self.radius))
-        k = np.arange(n)
-        phi = cap * np.sqrt(k / max(n - 1, 1))
-        az = math.pi * (3.0 - math.sqrt(5.0)) * k
-        rim = (np.cos(phi)[:, None] * u
-               + np.sin(phi)[:, None] * (np.cos(az)[:, None] * e1 + np.sin(az)[:, None] * e2))
+        if self.dim == 2:
+            phi = cap * (2.0 * np.arange(n) + 1.0 - n) / n
+            side = np.array([-u[1], u[0]])
+        else:
+            e1 = np.cross(u, [1.0, 0.0, 0.0] if abs(u[0]) < 0.9 else [0.0, 1.0, 0.0])
+            e1 /= np.linalg.norm(e1)
+            k = np.arange(n)
+            phi = cap * np.sqrt(k / max(n - 1, 1))
+            az = math.pi * (3.0 - math.sqrt(5.0)) * k
+            side = np.cos(az)[:, None] * e1 + np.sin(az)[:, None] * np.cross(u, e1)
+        rim = np.cos(phi)[:, None] * u + np.sin(phi)[:, None] * side
         pts = self.center + self.radius * rim
         keep = np.linalg.norm(pts - p, axis=1) <= r
         return pts[keep], -rim[keep]
@@ -441,7 +436,7 @@ class Disk(Shape):
 # Half-space
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HalfSpace(Shape):
     """Open half-space {x : <n, x> > offset}; n is the inward unit normal."""
 
@@ -457,7 +452,12 @@ class HalfSpace(Shape):
         norm = float(np.linalg.norm(n))
         if not np.isfinite(norm) or abs(norm - 1.0) > 1e-6:
             raise InvalidSpec("unit_normal must have unit length")
-        object.__setattr__(self, "unit_normal", n / norm)
+        # A fixed point, so that HalfSpace(h.unit_normal, ...) == h: n / |n|, or n
+        # (normalised first unless unit to within rounding) where that would move.
+        n = n / norm if abs(norm - 1.0) > 2.0**-50 else n
+        u = n / np.linalg.norm(n)
+        stable = np.array_equal(u / np.linalg.norm(u), u)
+        object.__setattr__(self, "unit_normal", u if stable else n)
         object.__setattr__(self, "offset", float(offset))
         object.__setattr__(self, "dim", n.shape[0])
         object.__setattr__(self, "extent", float(extent))
@@ -523,7 +523,7 @@ def _segments_properly_intersect(a, b, c, d) -> bool:
     return (o1 * o2 < 0) and (o3 * o4 < 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polygon(Shape):
     """Simple closed CCW polygon in the plane."""
 
@@ -544,9 +544,7 @@ class Polygon(Shape):
             raise InvalidSpec("polygon vertices must wind counter-clockwise")
         n = len(v)
         for i in range(n):
-            for j in range(i + 1, n):
-                if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                    continue
+            for j in range(i + 2, n - (i == 0)):    # the edges not adjacent to edge i
                 if _segments_properly_intersect(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n]):
                     raise InvalidSpec("polygon is self-intersecting")
         object.__setattr__(self, "vertices", v)
@@ -554,31 +552,33 @@ class Polygon(Shape):
 
     _curved = False
 
+    @functools.cached_property
     def _edges(self):
+        """Start and end points (n_edges, 2) of the edges."""
         return self.vertices, np.roll(self.vertices, -1, axis=0)
 
     @functools.cached_property
     def _inward(self) -> np.ndarray:
         """Inner unit normals (n_edges, 2) of the edges."""
-        a, b = self._edges()
+        a, b = self._edges
         units = [e / np.linalg.norm(e) for e in b - a]
         return np.array([[-e[1], e[0]] for e in units])
 
     def contains_many(self, pts) -> np.ndarray:
         pts = as_points(pts, 2)
-        a, b = self._edges()
+        a, b = self._edges
         inside = np.zeros(len(pts), dtype=bool)
         x, y = pts[:, 0], pts[:, 1]
-        for (ax, ay), (bx, by) in zip(a, b):
-            crosses = (ay > y) != (by > y)
-            with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for (ax, ay), (bx, by) in zip(a, b):
+                crosses = (ay > y) != (by > y)
                 xint = ax + (y - ay) * (bx - ax) / (by - ay)
-            inside ^= crosses & (x < xint)
+                inside ^= crosses & (x < xint)
         return inside
 
     def boundary_sample_with_normals(self, spacing: float):
         pts, normals = [], []
-        a, b = self._edges()
+        a, b = self._edges
         counts = [_spacing_count(float(np.linalg.norm(pb - pa)), spacing) for pa, pb in zip(a, b)]
         _check_count(sum(counts), spacing)
         for pa, pb, inward, n in zip(a, b, self._inward, counts):
@@ -599,7 +599,7 @@ class Polygon(Shape):
 
     def _edge_feet(self, pts: np.ndarray):
         """Distances (n, n_edges) and feet (n, n_edges, 2) to every edge."""
-        a, b = self._edges()
+        a, b = self._edges
         ab = b - a                                    # (E, 2)
         denom = np.sum(ab * ab, axis=1)               # (E,)
         w = pts[:, None, :] - a[None, :, :]           # (n, E, 2)
@@ -617,7 +617,7 @@ class Polygon(Shape):
         if np.min(np.linalg.norm(self.vertices - p, axis=1)) <= r:
             raise NotC1InNeighborhood("a polygon vertex lies inside the window")
         inward = self.inner_normal(p)
-        a, b = self._edges()
+        a, b = self._edges
         d, _, t = self._edge_feet(p[None, :])
         i = int(np.argmin(d[0]))
         e = b[i] - a[i]
@@ -633,7 +633,7 @@ class Polygon(Shape):
 # Ellipse
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ellipse(Shape):
     """Planar axis-aligned ellipse with semi-axes (a, b)."""
 
@@ -654,10 +654,6 @@ class Ellipse(Shape):
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "dim", 2)
 
-    def _implicit(self, pts: np.ndarray) -> np.ndarray:
-        q = (pts - self.center) / self.semi_axes
-        return np.sum(q * q, axis=1) - 1.0
-
     _closed = True
 
     def _curve(self, piece, t, derivs=True):
@@ -670,10 +666,11 @@ class Ellipse(Shape):
         return float(np.max(self.semi_axes))
 
     def _windows(self, pts):
-        return _ONE_TURN
+        return np.zeros(1, dtype=int), 0.0, 2.0 * math.pi      # one full turn
 
     def contains_many(self, pts) -> np.ndarray:
-        return self._implicit(as_points(pts, 2)) < 0.0
+        q = (as_points(pts, 2) - self.center) / self.semi_axes
+        return np.sum(q * q, axis=1) - 1.0 < 0.0
 
     def boundary_sample_with_normals(self, spacing: float):
         a = float(np.max(self.semi_axes))
@@ -690,7 +687,7 @@ class Ellipse(Shape):
 # Cusp
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cusp(Shape):
     """The planar domain x1 > |x2|^(1+alpha) with 0 < alpha < 1."""
 
@@ -757,7 +754,7 @@ _TWO_PI = 2.0 * math.pi
 WALL_INTERVALS = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spiral(Shape):
     """Thickened spiral channel {(r, theta) : f(theta + pi) < r < f(theta)}.
 
@@ -878,26 +875,31 @@ class Spiral(Shape):
     def _feet(self, pts: np.ndarray):
         # The two end caps are segments.
         ds, feet = [], []
-        for which in (0, 1):
-            p0, p1 = self._cap_segment(which)
-            e = p1 - p0
-            t = np.clip(_rowdot(pts - p0, e) / float(e @ e), 0.0, 1.0)
+        for p0, _, e, ee in self._caps:
+            t = np.clip(_rowdot(pts - p0, e) / ee, 0.0, 1.0)
             feet.append(p0 + t[:, None] * e)
             ds.append(np.linalg.norm(pts - feet[-1], axis=1))
-        return (np.stack(ds, axis=1), np.stack(feet, axis=1),
-                np.stack([self._cap_normal(0), self._cap_normal(1)]))
+        return np.stack(ds, axis=1), np.stack(feet, axis=1), self._cap_normals
 
-    def _cap_segment(self, which: int):
-        if which == 0:
-            ang, r0, r1 = self.theta_min, float(self.f(self.theta_min + math.pi)), float(
-                self.f(self.theta_min)
-            )
-        else:
-            ang, r0, r1 = self.theta_end, float(self.f(self.theta_max)), float(
-                self.f(self.theta_end)
-            )
-        e = np.array([math.cos(ang), math.sin(ang)])
-        return e * r0, e * r1
+    @functools.cached_property
+    def _caps(self):
+        """Per end cap, at theta_min and then theta_end: its ends p0 (inner wall)
+        and p1 (outer wall), its direction e = p1 - p0 and |e|^2."""
+        caps = []
+        ends = ((self.theta_min, self.f(self.theta_min + math.pi), self.f(self.theta_min)),
+                (self.theta_end, self.f(self.theta_max), self.f(self.theta_end)))
+        for ang, r0, r1 in ends:
+            u = np.array([math.cos(ang), math.sin(ang)])
+            p0, p1 = u * float(r0), u * float(r1)
+            e = p1 - p0
+            caps.append((p0, p1, e, float(e @ e)))
+        return tuple(caps)
+
+    @functools.cached_property
+    def _cap_normals(self) -> np.ndarray:
+        """Inner unit normals (2, 2) of the end caps at theta_min and theta_end."""
+        return np.stack([sign * np.array([-math.sin(ang), math.cos(ang)])
+                         for sign, ang in ((1.0, self.theta_min), (-1.0, self.theta_end))])
 
     def contains_many(self, pts) -> np.ndarray:
         r, theta = self._windings(as_points(pts, 2))
@@ -914,7 +916,7 @@ class Spiral(Shape):
         speeds = self._speed_bound(np.array([[0], [1]]), edges[:-1], edges[1:])
         arc = np.sum(speeds * np.diff(edges))
         caps = [_spacing_count(float(np.linalg.norm(p1 - p0)), spacing)
-                for p0, p1 in map(self._cap_segment, (0, 1))]
+                for p0, p1, _, _ in self._caps]
         _check_count(arc / (0.9 * spacing) + 2 * (WALL_INTERVALS + 2) + sum(caps), spacing)
         pts, normals = [], []
         for inner in (False, True):
@@ -932,22 +934,15 @@ class Spiral(Shape):
                 ts = np.append(ts, self.theta_end)
             pts.append(self._points(int(inner), ts))
             normals.append(self._normals(int(inner), ts))
-        for which, n in zip((0, 1), caps):
-            p0, p1 = self._cap_segment(which)
+        for (p0, p1, _, _), normal, n in zip(self._caps, self._cap_normals, caps):
             ts = np.linspace(0.0, 1.0, n)
             seg = p0 + ts[:, None] * (p1 - p0)
             pts.append(seg)
-            normals.append(np.broadcast_to(self._cap_normal(which), seg.shape).copy())
+            normals.append(np.broadcast_to(normal, seg.shape).copy())
         return np.concatenate(pts), np.concatenate(normals)
 
-    def _cap_normal(self, which: int) -> np.ndarray:
-        ang = self.theta_min if which == 0 else self.theta_end
-        return (1.0 - 2.0 * which) * np.array([-math.sin(ang), math.cos(ang)])
-
     def nonsmooth_boundary_points(self) -> np.ndarray:
-        c0 = self._cap_segment(0)
-        c1 = self._cap_segment(1)
-        return np.stack([c0[0], c0[1], c1[0], c1[1]])
+        return np.stack([p for p0, p1, _, _ in self._caps for p in (p0, p1)])
 
     def bbox(self):
         r = float(self.f(self.theta_min)) * 1.2

@@ -130,15 +130,23 @@ def test_verify_lipschitz(disk_scene, capsys):
 
 
 def test_verify_lipschitz_fails_fast_when_delta_cannot_fit(disk_scene, tmp_path, capsys):
-    # The spiral channel is narrower than 2 * 0.5 everywhere.
-    path = tmp_path / "spiral.json"
-    path.write_text(json.dumps({"shape": {"type": "spiral", "beta": 1.0}}))
-    t0 = time.perf_counter()
-    rc = main(["verify", "lipschitz", "--scene", str(path)])
-    assert time.perf_counter() - t0 < 2.0
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "--delta 0.5" in err and "below 0.2" in err
+    cases = [
+        # The spiral channel is narrower than 2 * 0.5 everywhere.
+        ({"type": "spiral", "beta": 1.0}, [], "below 0.2"),
+        # The rectangle's largest distance is exactly 0.5, reached on a segment
+        # only, so the grid bound admits --delta 0.5 but no sample can be drawn.
+        ({"type": "polygon", "vertices": [[0, 0], [2, 0], [2, 1], [0, 1]]}, ["--n", "5"],
+         "sampling region too thin"),
+    ]
+    for spec, args, reason in cases:
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({"shape": spec}))
+        t0 = time.perf_counter()
+        rc = main(["verify", "lipschitz", "--scene", str(path), *args])
+        assert time.perf_counter() - t0 < 2.0
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "--delta 0.5" in err and reason in err
     assert main(["verify", "lipschitz", "--scene", disk_scene, "--n", "100"]) == 0
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from distfield import Cusp, Disk, Ellipse, Spiral, solve_fmm
+from distfield import Cusp, Ellipse, Spiral, solve_fmm
 from distfield import _minimize, shapes
 from distfield._minimize import (
     CHUNK,
@@ -185,7 +185,7 @@ def test_fmm_matches_the_full_scan(monkeypatch, shape, lo, hi, n):
     assert np.array_equal(field.frozen, ref.frozen)
 
 
-_CURVED = [Disk((0.3, -0.2), 1.7), Ellipse((2.0, 0.5)), Ellipse((0.3, 1.1), (1.0, 1.0)),
+_CURVED = [Ellipse((2.0, 0.5)), Ellipse((0.3, 1.1), (1.0, 1.0)),
            Cusp(0.05), Cusp(0.5), Cusp(0.95), Spiral(0.5), Spiral(2.0),
            Spiral(0.05, wall="exp"), Spiral(0.4, theta_min=3.0, wall="exp")]
 

@@ -17,6 +17,7 @@ from distfield import (
     Spiral,
     brute_force_distance_many,
     c1_margin,
+    chi_estimate,
     cusp_medial_check,
     gradient,
     gradient_many,
@@ -24,6 +25,7 @@ from distfield import (
     make_shape,
     nearest_points,
     nearest_points_many,
+    shapes,
     signed_distance,
     signed_distance_many,
 )
@@ -254,7 +256,7 @@ def _ref_engine_candidates(shape, x):
 
 def _ref_candidates(shape, x, tol):
     """(dists, points, continuum) of one query, as the scalar overrides gave them."""
-    if isinstance(shape, Disk) and shape.dim == 3:
+    if isinstance(shape, Disk):
         v = x - shape.center
         s = float(np.linalg.norm(v))
         if s <= 0.5 * tol:
@@ -444,13 +446,34 @@ def test_nearest_points_many_validates_like_the_scalar_query(unit_disk):
 
 
 def test_shallow_valley_near_the_disk_centre_is_unique(unit_disk):
-    # The scan distances near the centre vary by less than their tie
-    # tolerance; the refined minimizer is still the only nearest point.
+    # Farther than tol/2 from the centre, the nearest point is unique.
     res = nearest_points(unit_disk, (1e-6, 0.0))
     assert res.multiplicity == 1
     assert np.allclose(res.points[0], (1.0, 0.0), atol=1e-12)
     assert np.allclose(gradient(unit_disk, (1e-6, 0.0)), (-1.0, 0.0), atol=1e-12)
     assert nearest_points(unit_disk, (0.0, 0.0)).is_continuum
+
+
+@pytest.mark.parametrize("disk", [Disk((0.2, -0.1), 1.3), Disk((0.1, -0.2, 0.3), 1.3)],
+                         ids=["disk", "ball"])
+def test_the_disk_never_reaches_the_scan_engine(disk, monkeypatch):
+    # The disk answers in closed form in every dimension.
+    def engine(*args):
+        raise AssertionError("the scan engine was called")
+
+    monkeypatch.setattr(shapes, "candidates", engine)
+    monkeypatch.setattr(shapes, "project", engine)
+    rng = np.random.default_rng(9)
+    pts = disk.center + rng.uniform(-2.0, 2.0, size=(300, disk.dim))
+    pts[0] = disk.center
+    assert nearest_points_many(disk, pts)[0].is_continuum
+    x, p = pts[1], disk.center + disk.radius * np.eye(disk.dim)[0]
+    assert nearest_points(disk, x).multiplicity == 1
+    assert gradient(disk, x) is not None and gradient(disk, p) is not None
+    disk.inner_normal(p)
+    assert len(disk.boundary_window(p, 0.1, 16)[0]) > 1
+    assert abs(chi_estimate(disk, p, [0.1, 1e-3]).estimates["chi"] - 1.0 / 1.3) <= 1e-9
+    c1_margin(disk, p, 0.1, 200, seed=1)
 
 
 # -- the diagnostics that now make one batched call -----------------------------

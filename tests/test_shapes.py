@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -181,13 +182,46 @@ _shapes = st.one_of(
 )
 
 
+_unit_3d = st.tuples(*(st.floats(-1.0, 1.0),) * 3).filter(lambda v: np.linalg.norm(v) > 0.1)
+_any_shape = st.one_of(
+    _shapes,
+    st.builds(Disk, st.tuples(_finite, _finite, _finite), st.floats(0.1, 3.0)),
+    # Normals unit to within rounding, or off by up to 1e-7, in 2-d and 3-d.
+    st.builds(lambda v, s, o: HalfSpace(s * np.asarray(v) / np.linalg.norm(v), o),
+              st.one_of(_unit_3d, _unit_3d.map(lambda v: v[:2]).filter(
+                  lambda v: np.linalg.norm(v) > 0.1)),
+              st.sampled_from([1.0, 1.0 + 1e-7, 1.0 - 1e-7]), _finite),
+    st.sampled_from([Polygon([(0, 0), (2, 0), (2, 1), (0, 1)]),
+                     Polygon([(0.0, 0.0), (2.0, 0.3), (1.7, 1.9), (-0.4, 1.1)])]),
+)
+
+
 @settings(deadline=None, max_examples=60)
-@given(_shapes)
+@given(_any_shape)
 def test_shape_spec_json_round_trip_property(shape):
     spec = shape_spec(shape)
     again = make_shape(json.loads(json.dumps(spec)))
     assert type(again) is type(shape)
     assert shape_spec(again) == spec
+    assert again == shape and hash(again) == hash(shape)
+    assert pickle.loads(pickle.dumps(shape)) == shape
+
+
+def test_shape_equality_follows_the_spec():
+    v = [(0, 0), (2, 0), (2, 1), (0, 1)]
+    cached = Polygon(v)
+    assert len(cached._inward) == 4                 # now held in the instance
+    assert cached == Polygon(v) and hash(cached) == hash(Polygon(v))
+    assert Disk((0, 0), 1) == Disk((0.0, 0.0), 1.0)
+    assert len({Disk((0, 0), 1), Disk((0, 0), 1), Disk((0, 0, 0), 1)}) == 2
+    pairs = [(Disk((0, 0), 1), Disk((0, 0), 2)), (Disk((0, 0), 1), Disk((0, 0, 0), 1)),
+             (Disk((0, 0), 1), Ellipse((1.0, 1.0))), (Polygon(v), Polygon(v[1:] + v[:1])),
+             (Ellipse((2, 1)), Ellipse((2, 1), (0.0, 0.1))), (Cusp(0.5), Cusp(0.5, extent=1.0)),
+             (HalfSpace((1, 0), 0), HalfSpace((1, 0), 0, extent=3.0)),
+             (Spiral(1.0), Spiral(1.0, wall="exp")), (Spiral(1.0), Spiral(1.0, theta_min=0.5))]
+    for a, b in pairs:
+        assert a != b and not a == b
+    assert Disk((0, 0), 1) != "disk"
 
 
 @settings(deadline=None, max_examples=40)
